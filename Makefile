@@ -29,8 +29,10 @@ bench:
 # Million-rank kernel-scaling ladder: tree bcast/reduce and allreduce in
 # the goroutine-per-rank and flat rank drivers from 1k to 1M simulated
 # ranks, with the ≥100k-broadcast-under-8GB and flat-beats-proc gates.
-# Rows (events/s, peak RSS, ranks/GB) merge into BENCH_kernel.json.
+# Rows (events/s, allocs/event, peak RSS, ranks/GB) merge into
+# BENCH_kernel.json. The steady-state allocation gate runs first.
 scale:
+	$(GO) test -run 'TestFlatSteadyStateAllocs' -v ./internal/simmpi
 	SCALE_LADDER=1k,10k,100k,1m SCALE_COLLS=bcast,reduce,allreduce ./scripts/scale.sh
 
 # Shared progress-engine gate: the unified matching core and scheduler

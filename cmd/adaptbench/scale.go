@@ -3,9 +3,10 @@ package main
 // The million-rank kernel-scaling ladder: adaptbench -ranks runs tree
 // broadcast/reduce and allreduce at growing rank counts, in both the
 // goroutine-per-rank (proc) and struct-per-rank (flat) drivers, and
-// reports wall-clock event throughput, peak RSS, and ranks per GB of
-// memory. Each cell re-execs this binary so VmHWM measures exactly one
-// configuration. Rows land in BENCH_kernel.json via scripts/scale.sh.
+// reports wall-clock event throughput, heap allocations per dispatched
+// event, peak RSS, and ranks per GB of memory. Each cell re-execs this
+// binary so VmHWM measures exactly one configuration. Rows land in
+// BENCH_kernel.json via scripts/scale.sh.
 
 import (
 	"bufio"
@@ -15,6 +16,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -44,9 +46,12 @@ type scaleRow struct {
 	Events       uint64  `json:"events"`
 	WallNS       int64   `json:"wall_ns"`
 	EventsPerSec float64 `json:"events_per_sec"`
-	MakespanNS   int64   `json:"makespan_ns"`
-	RSSKB        int64   `json:"rss_kb"`
-	RanksPerGB   float64 `json:"ranks_per_gb"`
+	// AllocsPerEvent is heap allocations during Kernel.Run over events
+	// dispatched: per-rank collective setup plus per-message state.
+	AllocsPerEvent float64 `json:"allocs_per_event"`
+	MakespanNS     int64   `json:"makespan_ns"`
+	RSSKB          int64   `json:"rss_kb"`
+	RanksPerGB     float64 `json:"ranks_per_gb"`
 }
 
 // parseRung accepts "1k", "10k", "100k", "1m", or a plain integer, and
@@ -146,9 +151,12 @@ func measureCell(mode, coll string, ranks int) (scaleRow, error) {
 	}
 
 	perf.Reset()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
 	start := time.Now()
 	makespan := k.MustRun()
 	wall := time.Since(start)
+	runtime.ReadMemStats(&m1)
 	snap := perf.Read()
 	for i, op := range ops {
 		if !op.Done() {
@@ -160,13 +168,16 @@ func measureCell(mode, coll string, ranks int) (scaleRow, error) {
 		return scaleRow{}, err
 	}
 	row := scaleRow{
-		Name:       fmt.Sprintf("Scale%s%s/%d", title(mode), title(coll), ranks),
-		Mode:       mode, Collective: coll, Ranks: ranks,
+		Name: fmt.Sprintf("Scale%s%s/%d", title(mode), title(coll), ranks),
+		Mode: mode, Collective: coll, Ranks: ranks,
 		Events: snap.EventsDispatched, WallNS: wall.Nanoseconds(),
 		MakespanNS: makespan.Nanoseconds(), RSSKB: rss,
 	}
 	if wall > 0 {
 		row.EventsPerSec = float64(snap.EventsDispatched) / wall.Seconds()
+	}
+	if snap.EventsDispatched > 0 {
+		row.AllocsPerEvent = float64(m1.Mallocs-m0.Mallocs) / float64(snap.EventsDispatched)
 	}
 	if rss > 0 {
 		row.RanksPerGB = float64(ranks) / (float64(rss) / float64(1<<20))
@@ -245,11 +256,11 @@ func runScaleLadder(w io.Writer, ladder, colls, jsonPath string) int {
 		}
 	}
 
-	fmt.Fprintf(w, "%-6s %-10s %10s %14s %12s %10s %12s\n",
-		"mode", "coll", "ranks", "events/s", "events", "rss", "ranks/GB")
+	fmt.Fprintf(w, "%-6s %-10s %10s %14s %12s %13s %10s %12s\n",
+		"mode", "coll", "ranks", "events/s", "events", "allocs/event", "rss", "ranks/GB")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-6s %-10s %10d %14.0f %12d %9dM %12.0f\n",
-			r.Mode, r.Collective, r.Ranks, r.EventsPerSec, r.Events, r.RSSKB>>10, r.RanksPerGB)
+		fmt.Fprintf(w, "%-6s %-10s %10d %14.0f %12d %13.2f %9dM %12.0f\n",
+			r.Mode, r.Collective, r.Ranks, r.EventsPerSec, r.Events, r.AllocsPerEvent, r.RSSKB>>10, r.RanksPerGB)
 	}
 
 	if err := scaleGates(rows); err != nil {

@@ -63,7 +63,7 @@ func newAllgatherState(c comm.Comm, contrib comm.Msg, opt Options) *allgatherSta
 		right: (me + 1) % n,
 		me:    me,
 	}
-	s.out = newChildStream(s.right)
+	s.out = newChildStream(c, s.right, opt.SendWindow, s.parcelTag, &s.sendPending)
 	if s.nseg*n > 1<<tagSegBitsBudget {
 		panic(fmt.Sprintf("core: allgather parcel space %d×%d exceeds tag budget", n, s.nseg))
 	}
@@ -145,14 +145,11 @@ func (s *allgatherState) onParcel(id int, st comm.Status) {
 func (s *allgatherState) enqueue(block int, sg comm.Segment) {
 	d := (s.me - block + s.n) % s.n
 	s.out.offer(d*s.nseg+sg.Index, sg.Msg)
-	s.pump()
+	s.out.pump()
 }
 
-func (s *allgatherState) pump() {
-	s.out.pump(s.c, s.opt.SendWindow,
-		func(pos int) comm.Tag {
-			block := (s.me - pos/s.nseg + s.n) % s.n
-			return s.opt.TagOf(comm.KindAllgather, block*s.nseg+pos%s.nseg)
-		},
-		func() { s.sendPending-- })
+// parcelTag maps an outbound stream position to its parcel's wire tag.
+func (s *allgatherState) parcelTag(pos int) comm.Tag {
+	block := (s.me - pos/s.nseg + s.n) % s.n
+	return s.opt.TagOf(comm.KindAllgather, block*s.nseg+pos%s.nseg)
 }

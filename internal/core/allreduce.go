@@ -89,11 +89,12 @@ func newAllreduceState(c comm.Comm, t *trees.Tree, contrib comm.Msg, opt Options
 	s.upPost = make([]int, len(s.children))
 	s.upRecvPending = ns * len(s.children)
 	s.downSendPending = ns * len(s.children)
+	down := opt.segTags(comm.KindAllreduce)
 	for _, ch := range s.children {
-		s.downStreams = append(s.downStreams, newChildStream(ch))
+		s.downStreams = append(s.downStreams, newChildStream(c, ch, opt.SendWindow, down, &s.downSendPending))
 	}
 	if p := t.Parent[me]; p != -1 {
-		s.up = newChildStream(p)
+		s.up = newChildStream(c, p, opt.SendWindow, opt.segTags(comm.KindReduce), &s.upSendPending)
 		s.upSendPending = ns
 		s.downRecvPending = ns
 		// Post the down-direction receive window immediately: the root may
@@ -149,16 +150,10 @@ func (s *allreduceState) onContribution(ci, seg int, st comm.Status) {
 func (s *allreduceState) segFolded(seg int) {
 	if s.up != nil {
 		s.up.offer(seg, s.segs[seg].Msg)
-		s.pumpUp()
+		s.up.pump()
 		return
 	}
 	s.turnaround(seg, s.segs[seg].Msg)
-}
-
-func (s *allreduceState) pumpUp() {
-	s.up.pump(s.c, s.opt.SendWindow,
-		func(idx int) comm.Tag { return s.opt.TagOf(comm.KindReduce, idx) },
-		func() { s.upSendPending-- })
 }
 
 func (s *allreduceState) postDownRecv() {
@@ -186,12 +181,6 @@ func (s *allreduceState) onDownSegment(seg int, st comm.Status) {
 func (s *allreduceState) turnaround(seg int, msg comm.Msg) {
 	for _, cs := range s.downStreams {
 		cs.offer(seg, msg)
-		s.pumpDown(cs)
+		cs.pump()
 	}
-}
-
-func (s *allreduceState) pumpDown(cs *childStream) {
-	cs.pump(s.c, s.opt.SendWindow,
-		func(idx int) comm.Tag { return s.opt.TagOf(comm.KindAllreduce, idx) },
-		func() { s.downSendPending-- })
 }

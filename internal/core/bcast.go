@@ -13,43 +13,88 @@ import (
 // the window with transfers the receiver will not match yet while the
 // sends it waits for sit behind them — a head-of-line deadlock. With a
 // strictly ordered in-flight prefix the receiver's window always matches.
+//
+// The stream is bound to its owner once (newChildStream), so issuing a
+// segment and reacting to its completion allocate no closures.
 type childStream struct {
-	rank     int
-	ready    map[int]comm.Msg // segment index → payload ready to issue
-	next     int              // next index to issue
+	c       comm.Comm
+	rank    int
+	window  int
+	tagOf   func(idx int) comm.Tag // stream index → wire tag
+	pending *int                   // owner's outstanding-send count
+	onSent  func(comm.Status)      // cs.sentOne, bound once
+
+	// ready is a ring over stream indices: segment idx, for
+	// next ≤ idx < next+len(ready), sits at idx & (len(ready)-1).
+	ready    []readySlot
+	next     int // next index to issue
 	inflight int
-	sent     int // total issued
 }
 
-func newChildStream(rank int) *childStream {
-	return &childStream{rank: rank, ready: make(map[int]comm.Msg)}
+type readySlot struct {
+	msg comm.Msg
+	ok  bool
 }
 
-// offer marks segment idx ready for issue.
+// newChildStream binds a stream to peer rank: sends go out on c with at
+// most window in flight, tagged by tagOf, and each completion decrements
+// *pending.
+func newChildStream(c comm.Comm, rank, window int, tagOf func(int) comm.Tag, pending *int) *childStream {
+	cs := new(childStream)
+	cs.init(c, rank, window, tagOf, pending)
+	return cs
+}
+
+// init binds a stream in place (for streams embedded in a larger struct).
+func (cs *childStream) init(c comm.Comm, rank, window int, tagOf func(int) comm.Tag, pending *int) {
+	*cs = childStream{c: c, rank: rank, window: window, tagOf: tagOf, pending: pending}
+	cs.onSent = cs.sentOne
+}
+
+// offer marks segment idx ≥ next ready for issue.
 func (cs *childStream) offer(idx int, msg comm.Msg) {
-	cs.ready[idx] = msg
+	if d := idx - cs.next; d >= len(cs.ready) {
+		cs.grow(d + 1)
+	}
+	cs.ready[idx&(len(cs.ready)-1)] = readySlot{msg: msg, ok: true}
+}
+
+// grow resizes the ring to the next power of two holding need indices
+// from next on.
+func (cs *childStream) grow(need int) {
+	n := max(len(cs.ready), 1)
+	for n < need {
+		n *= 2
+	}
+	ready := make([]readySlot, n)
+	for i := cs.next; i < cs.next+len(cs.ready); i++ {
+		ready[i&(n-1)] = cs.ready[i&(len(cs.ready)-1)]
+	}
+	cs.ready = ready
 }
 
 // pump issues ready segments in index order while the window has room.
-// tagf maps a stream index to its wire tag; onDone runs per completion.
-func (cs *childStream) pump(c comm.Comm, window int, tagf func(int) comm.Tag, onDone func()) {
-	for cs.inflight < window {
-		msg, ok := cs.ready[cs.next]
-		if !ok {
+func (cs *childStream) pump() {
+	for cs.inflight < cs.window && len(cs.ready) > 0 {
+		slot := &cs.ready[cs.next&(len(cs.ready)-1)]
+		if !slot.ok {
 			return
 		}
-		delete(cs.ready, cs.next)
+		msg := slot.msg
+		*slot = readySlot{}
 		idx := cs.next
 		cs.next++
 		cs.inflight++
-		cs.sent++
-		r := c.Isend(cs.rank, tagf(idx), msg)
-		c.OnComplete(r, func(comm.Status) {
-			cs.inflight--
-			onDone()
-			cs.pump(c, window, tagf, onDone)
-		})
+		r := cs.c.Isend(cs.rank, cs.tagOf(idx), msg)
+		cs.c.OnComplete(r, cs.onSent)
 	}
+}
+
+// sentOne is the completion of one issued segment.
+func (cs *childStream) sentOne(comm.Status) {
+	cs.inflight--
+	*cs.pending--
+	cs.pump()
 }
 
 // bcastState is the per-rank ADAPT broadcast state machine.
@@ -88,8 +133,9 @@ func newBcastState(c comm.Comm, t *trees.Tree, msg comm.Msg, opt Options) *bcast
 		c: c, t: t, opt: opt, kind: comm.KindBcast,
 		parent: t.Parent[c.Rank()], total: msg.Size, space: msg.Space,
 	}
+	tags := opt.segTags(s.kind)
 	for _, ch := range t.Children[c.Rank()] {
-		s.children = append(s.children, newChildStream(ch))
+		s.children = append(s.children, newChildStream(c, ch, opt.SendWindow, tags, &s.sendPending))
 	}
 
 	if c.Rank() == t.Root {
@@ -101,7 +147,7 @@ func newBcastState(c comm.Comm, t *trees.Tree, msg comm.Msg, opt Options) *bcast
 				cs.offer(sg.Index, sg.Msg)
 			}
 			s.sendPending += len(s.segs)
-			s.pump(cs)
+			cs.pump()
 		}
 	} else {
 		// Non-root: pre-build the segment table from the declared size so
@@ -149,16 +195,10 @@ func (s *bcastState) onSegment(seg int, st comm.Status) {
 		fwd.Data = s.outData[sg.Offset : sg.Offset+st.Msg.Size]
 	}
 	sg.Msg = fwd
+	// Each child's stream advances on its own: an Isend completion
+	// re-enters only that stream's pump, never touching siblings.
 	for _, cs := range s.children {
 		cs.offer(sg.Index, sg.Msg)
-		s.pump(cs)
+		cs.pump()
 	}
-}
-
-// pump advances one child's stream while its window has room — each Isend
-// completion re-enters pump via its callback, never touching siblings.
-func (s *bcastState) pump(cs *childStream) {
-	cs.pump(s.c, s.opt.SendWindow,
-		func(idx int) comm.Tag { return s.opt.TagOf(s.kind, idx) },
-		func() { s.sendPending-- })
 }

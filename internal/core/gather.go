@@ -88,7 +88,7 @@ func newGatherState(c comm.Comm, t *trees.Tree, contrib comm.Msg, opt Options) *
 	}
 
 	if p := t.Parent[me]; p != -1 {
-		s.up = newChildStream(p)
+		s.up = newChildStream(c, p, opt.SendWindow, opt.segTags(comm.KindGather), &s.sendPending)
 		s.outSegs = comm.Segments(comm.Msg{Size: s.blobSize, Space: contrib.Space}, opt.SegSize)
 		s.outDeps = make([]int, len(s.outSegs))
 		s.sendPending = len(s.outSegs)
@@ -170,13 +170,7 @@ func (s *gatherState) releaseOut(i int) {
 		sg.Msg.Data = s.blob[sg.Offset : sg.Offset+sg.Msg.Size]
 	}
 	s.up.offer(i, sg.Msg)
-	s.pumpUp()
-}
-
-func (s *gatherState) pumpUp() {
-	s.up.pump(s.c, s.opt.SendWindow,
-		func(idx int) comm.Tag { return s.opt.TagOf(comm.KindGather, idx) },
-		func() { s.sendPending-- })
+	s.up.pump()
 }
 
 // finish produces the result: at the root, the subtree-ordered blob

@@ -67,13 +67,16 @@ func newStagedBcastState(dc comm.DeviceComm, topo *hwloc.Topology, t *trees.Tree
 		parent: t.Parent[me],
 		leader: IsNodeLeader(topo, t, me),
 	}
+	tags := opt.segTags(comm.KindBcast)
 	for _, ch := range t.Children[me] {
 		space := comm.MemDevice
 		if s.leader && topo.LevelBetween(me, ch) != hwloc.LevelCore {
 			// Slow-lane children are served from the staging buffer.
 			space = comm.MemHost
 		}
-		s.children = append(s.children, &stagedChild{childStream: *newChildStream(ch), space: space})
+		sc := &stagedChild{space: space}
+		sc.init(dc, ch, opt.SendWindow, tags, &s.sendPending)
+		s.children = append(s.children, sc)
 	}
 
 	s.segs = comm.Segments(comm.Msg{Data: msg.Data, Size: msg.Size, Space: comm.MemDevice}, opt.SegSize)
@@ -166,13 +169,7 @@ func (s *stagedBcastState) onSegment(seg int, space comm.MemSpace, st comm.Statu
 func (s *stagedBcastState) enqueue(cs *stagedChild, sg comm.Segment) {
 	sg.Msg.Space = cs.space
 	cs.offer(sg.Index, sg.Msg)
-	s.pump(cs)
-}
-
-func (s *stagedBcastState) pump(cs *stagedChild) {
-	cs.childStream.pump(s.dc, s.opt.SendWindow,
-		func(idx int) comm.Tag { return s.opt.TagOf(comm.KindBcast, idx) },
-		func() { s.sendPending-- })
+	cs.pump()
 }
 
 // reduceOffloadState extends the ADAPT reduce with GPU-offloaded folds.
@@ -217,7 +214,7 @@ func newReduceOffloadState(dc comm.DeviceComm, t *trees.Tree, contrib comm.Msg, 
 	s.nextPost = make([]int, len(s.children))
 	s.recvPending = ns * len(s.children)
 	if p := t.Parent[me]; p != -1 {
-		s.up = newChildStream(p)
+		s.up = newChildStream(dc, p, opt.SendWindow, opt.segTags(comm.KindReduce), &s.sendPending)
 		s.sendPending = ns
 	}
 	for ci := range s.children {
@@ -265,11 +262,5 @@ func (s *reduceOffloadState) segReady(seg int) {
 		return
 	}
 	s.up.offer(seg, s.segs[seg].Msg)
-	s.pumpUp()
-}
-
-func (s *reduceOffloadState) pumpUp() {
-	s.up.pump(s.dc, s.opt.SendWindow,
-		func(idx int) comm.Tag { return s.opt.TagOf(comm.KindReduce, idx) },
-		func() { s.sendPending-- })
+	s.up.pump()
 }

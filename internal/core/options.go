@@ -102,3 +102,9 @@ func (o Options) ReduceCost(n int) int {
 func (o Options) TagOf(kind comm.CollKind, seg int) comm.Tag {
 	return comm.MakeTag(kind, ((o.Seq%comm.SeqWrap)+comm.SeqWrap)%comm.SeqWrap, seg)
 }
+
+// segTags returns kind's stream-index → wire-tag map, built once per
+// collective state so that stream pumps allocate no closures.
+func (o Options) segTags(kind comm.CollKind) func(int) comm.Tag {
+	return func(idx int) comm.Tag { return o.TagOf(kind, idx) }
+}

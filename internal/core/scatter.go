@@ -98,10 +98,12 @@ func newScatterState(c comm.Comm, t *trees.Tree, msg comm.Msg, opt Options) *sca
 	s := &scatterState{c: c, t: t, opt: opt, blk: blk, blobSize: blk * len(order)}
 
 	// Lay out children ranges: [my block][child0 subtree][child1 subtree]…
+	tags := opt.segTags(comm.KindScatter)
 	off := blk
 	for _, ch := range t.Children[me] {
 		span := blk * len(subtreeOrder(t, ch))
-		sc := &scatterChild{childStream: *newChildStream(ch), start: off}
+		sc := &scatterChild{start: off}
+		sc.init(c, ch, opt.SendWindow, tags, &s.sendPending)
 		sc.segs = comm.Segments(comm.Msg{Size: span, Space: msg.Space}, opt.SegSize)
 		sc.deps = make([]int, len(sc.segs))
 		s.children = append(s.children, sc)
@@ -194,11 +196,5 @@ func (s *scatterState) releaseChildSeg(sc *scatterChild, i int) {
 		sg.Msg.Data = s.blob[sc.start+sg.Offset : sc.start+sg.Offset+sg.Msg.Size]
 	}
 	sc.offer(i, sg.Msg)
-	s.pump(sc)
-}
-
-func (s *scatterState) pump(sc *scatterChild) {
-	sc.pump(s.c, s.opt.SendWindow,
-		func(idx int) comm.Tag { return s.opt.TagOf(comm.KindScatter, idx) },
-		func() { s.sendPending-- })
+	sc.pump()
 }

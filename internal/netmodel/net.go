@@ -31,10 +31,10 @@ import (
 // differ from the sender's guess (the staging optimization receives
 // GPU-bound traffic into host memory):
 //
-//	StartTransfer: source-side + fabric hops → arrival at the destination
-//	               rank's host boundary.
-//	Deliver:       destination-side PCIe hop if the receive buffer is in
-//	               device memory.
+//	Fly (StartTransfer):       source-side + fabric hops → arrival at
+//	                           the destination rank's host boundary.
+//	FlyDeliver (DeliverFrom):  destination-side PCIe or NVLink hop if the
+//	                           receive buffer is in device memory.
 type Net struct {
 	K *sim.Kernel
 	P *Platform
@@ -138,6 +138,21 @@ type hop struct {
 	bw Rate
 }
 
+// route is a message's path: a fixed latency, then at most three
+// contended hops (a device-memory source adds the GPU's out-link to the
+// two NIC hops of an inter-node route), held inline so computing one
+// allocates nothing.
+type route struct {
+	alpha time.Duration
+	hops  [3]hop
+	n     int
+}
+
+func (rt *route) add(h hop) {
+	rt.hops[rt.n] = h
+	rt.n++
+}
+
 // nvlinkPeer reports whether src→dst traffic may ride NVLink (same
 // socket, NVLink present).
 func (n *Net) nvlinkPeer(src, dst int) bool {
@@ -145,74 +160,138 @@ func (n *Net) nvlinkPeer(src, dst int) bool {
 		n.P.Topo.LevelBetween(src, dst) == hwloc.LevelCore
 }
 
-// sendRoute returns the latency and hop list from src's buffer to dst's
-// host boundary.
-func (n *Net) sendRoute(src, dst int, srcSpace comm.MemSpace) (time.Duration, []hop) {
+// sendRoute returns the route from src's buffer to dst's host boundary.
+func (n *Net) sendRoute(src, dst int, srcSpace comm.MemSpace) route {
 	t := n.P.Topo
 	level := t.LevelBetween(src, dst)
-	var alpha time.Duration
-	var hops []hop
+	var rt route
 	if n.ResolveSpace(srcSpace) == comm.MemDevice {
 		if n.nvlinkPeer(src, dst) {
 			// Peer traffic leaves over the GPU's NVLink port.
-			return n.P.NVLinkAlpha, []hop{{at(n.nvlOut, src), n.nvlBw}}
+			rt.alpha = n.P.NVLinkAlpha
+			rt.add(hop{at(n.nvlOut, src), n.nvlBw})
+			return rt
 		}
-		alpha += n.P.PCIeAlpha
-		hops = append(hops, hop{at(n.gpuOut, src), n.pcieBw})
+		rt.alpha += n.P.PCIeAlpha
+		rt.add(hop{at(n.gpuOut, src), n.pcieBw})
 	}
 	switch level {
 	case hwloc.LevelSelf: // local copy, no fabric
-		alpha += n.P.ShmAlpha
+		rt.alpha += n.P.ShmAlpha
 	case hwloc.LevelCore: // intra-socket
-		alpha += n.P.ShmAlpha
-		if len(hops) == 0 { // host→…: the sender core's copy engine
-			hops = append(hops, hop{at(n.cpu, src), n.shmBw})
+		rt.alpha += n.P.ShmAlpha
+		if rt.n == 0 { // host→…: the sender core's copy engine
+			rt.add(hop{at(n.cpu, src), n.shmBw})
 		}
 	case hwloc.LevelSocket: // inter-socket
-		alpha += n.P.QpiAlpha
-		hops = append(hops, hop{at(n.qpi, t.NodeOf(src)), n.qpiBw})
+		rt.alpha += n.P.QpiAlpha
+		rt.add(hop{at(n.qpi, t.NodeOf(src)), n.qpiBw})
 	default: // inter-node
-		alpha += n.P.NetAlpha
-		hops = append(hops,
-			hop{at(n.nicTx, t.NodeOf(src)), n.netBw},
-			hop{at(n.nicRx, t.NodeOf(dst)), n.netBw})
+		rt.alpha += n.P.NetAlpha
+		rt.add(hop{at(n.nicTx, t.NodeOf(src)), n.netBw})
+		rt.add(hop{at(n.nicRx, t.NodeOf(dst)), n.netBw})
 	}
-	return alpha, hops
+	return rt
 }
 
-// runHops executes hops as chained events starting after `alpha` from now,
-// invoking afterFirst at the end of the first hop (or after alpha when
-// there are none) and afterLast at the end of the last.
-func (n *Net) runHops(alpha time.Duration, hops []hop, size int, afterFirst, afterLast func()) {
-	n.K.Schedule(alpha, func() { n.step(hops, size, afterFirst, afterLast) })
+// Lander receives a Flight's two milestones.
+type Lander interface {
+	// Sent fires when the source buffer is reusable: at the end of the
+	// first hop, or after the latency on a route with no hops.
+	Sent()
+	// Landed fires when the payload reaches the end of the route. The
+	// flight is finished: Landed may restart it for a next leg.
+	Landed()
 }
 
-func (n *Net) step(hops []hop, size int, afterFirst, afterLast func()) {
-	if len(hops) == 0 {
-		if afterFirst != nil {
-			afterFirst()
-		}
-		if afterLast != nil {
-			afterLast()
-		}
+// Flight carries one message along a route as a chain of typed kernel
+// events: one after the route's latency, then one at the end of each
+// hop. The first event reserves the first hop; each hop's end reports
+// Sent (first hop only) before reserving the next hop, and the last one
+// reports Landed. A substrate embeds a Flight in its pooled per-message
+// state, so a transfer schedules no closures.
+type Flight struct {
+	net  *Net
+	to   Lander
+	rt   route
+	next int // hops already reserved
+	size int
+}
+
+// Fire runs the flight's next event.
+func (f *Flight) Fire() {
+	if f.next == 1 || f.rt.n == 0 {
+		f.to.Sent()
+	}
+	if f.next < f.rt.n {
+		h := f.rt.hops[f.next]
+		f.next++
+		f.net.K.AtHandler(h.r.Use(h.bw.Over(f.size)), f)
 		return
 	}
-	end := hops[0].r.Use(hops[0].bw.Over(size))
-	rest := hops[1:]
-	n.K.At(end, func() {
-		if afterFirst != nil {
-			afterFirst()
-		}
-		n.step(rest, size, nil, afterLast)
-	})
+	f.to.Landed() // last touch: Landed may restart f
+}
+
+// launch starts f along rt now.
+func (n *Net) launch(f *Flight, rt route, size int, to Lander) {
+	*f = Flight{net: n, to: to, rt: rt, size: size}
+	n.K.ScheduleHandler(rt.alpha, f)
+}
+
+// Fly moves size bytes from src toward dst's host boundary along f,
+// starting now: to.Sent fires when the source buffer is reusable (end of
+// the first hop), to.Landed when the payload arrives.
+func (n *Net) Fly(f *Flight, src, dst, size int, srcSpace comm.MemSpace, to Lander) {
+	n.launch(f, n.sendRoute(src, dst, srcSpace), size, to)
+}
+
+// FlyDeliver lands a payload that reached dst's host boundary in a
+// device-memory receive buffer, crossing the destination GPU's NVLink
+// ingress port (when src is a known NVLink peer) or its PCIe link; to.Sent
+// fires at the end of that hop, to.Landed when the payload is in place.
+// It reports false, starting nothing, when dstSpace resolves to host
+// memory: the payload is already in place.
+func (n *Net) FlyDeliver(f *Flight, src, dst, size int, dstSpace comm.MemSpace, to Lander) bool {
+	if n.ResolveSpace(dstSpace) != comm.MemDevice {
+		return false
+	}
+	var rt route
+	if src >= 0 && n.nvlinkPeer(src, dst) {
+		rt.add(hop{at(n.nvlIn, dst), n.nvlBw})
+	} else {
+		rt.alpha = n.P.PCIeAlpha
+		rt.add(hop{at(n.gpuIn, dst), n.pcieBw})
+	}
+	n.launch(f, rt, size, to)
+	return true
+}
+
+// funcLander is a Flight reporting to plain callbacks (either may be
+// nil), for callers off the per-message hot path.
+type funcLander struct {
+	Flight
+	sent, landed func()
+}
+
+func (l *funcLander) Sent() {
+	if l.sent != nil {
+		l.sent()
+	}
+}
+
+func (l *funcLander) Landed() {
+	if l.landed != nil {
+		l.landed()
+	}
 }
 
 // StartTransfer moves size bytes from src toward dst starting now.
 // onSent fires when the source-side buffer is reusable (end of the first
 // hop); onArrive fires when the payload reaches dst's host boundary.
+// Either may be nil.
 func (n *Net) StartTransfer(src, dst, size int, srcSpace comm.MemSpace, onSent, onArrive func()) {
-	alpha, hops := n.sendRoute(src, dst, srcSpace)
-	n.runHops(alpha, hops, size, onSent, onArrive)
+	l := &funcLander{sent: onSent, landed: onArrive}
+	n.Fly(&l.Flight, src, dst, size, srcSpace, l)
 }
 
 // Deliver lands an arrived payload in dst's receive buffer, crossing the
@@ -226,15 +305,10 @@ func (n *Net) Deliver(dst, size int, dstSpace comm.MemSpace, done func()) {
 // traffic can ride the NVLink ingress port instead of PCIe. src may be
 // -1 when unknown (forces the PCIe path).
 func (n *Net) DeliverFrom(src, dst, size int, dstSpace comm.MemSpace, done func()) {
-	if n.ResolveSpace(dstSpace) == comm.MemDevice {
-		if src >= 0 && n.nvlinkPeer(src, dst) {
-			n.runHops(0, []hop{{at(n.nvlIn, dst), n.nvlBw}}, size, nil, done)
-			return
-		}
-		n.runHops(n.P.PCIeAlpha, []hop{{at(n.gpuIn, dst), n.pcieBw}}, size, nil, done)
-		return
+	l := &funcLander{landed: done}
+	if !n.FlyDeliver(&l.Flight, src, dst, size, dstSpace, l) {
+		n.K.Schedule(0, done)
 	}
-	n.K.Schedule(0, done)
 }
 
 // ControlLatency returns the one-way latency of a zero-byte control

@@ -32,10 +32,13 @@ import (
 //     surfaces at the stuck receiver — bound Run with WithRunTimeout to
 //     turn that hang into a per-rank pending-operation dump.
 //
-// The injector's verdicts depend only on message identity, so a fixed
-// plan seed yields the same drops/dups/losses regardless of goroutine
-// interleaving; wall-clock arrival order of near-simultaneous copies is
-// the only nondeterminism, and dedup makes it invisible to receivers.
+// The injector's verdicts depend only on message identity — (src, dst,
+// tag, per-link seq) — so a fixed plan seed yields the same
+// drops/dups/losses regardless of goroutine interleaving; wall-clock
+// arrival order of near-simultaneous copies is the only nondeterminism,
+// and dedup makes it invisible to receivers. The world-unique xid each
+// envelope carries serves dedup only: it is drawn from one counter that
+// all senders share, so its values follow goroutine scheduling.
 
 // WithFaults installs a fault plan and the ack/retry tuning used to
 // recover from it (zero Recovery fields take defaults).
@@ -69,27 +72,41 @@ func (w *World) Failures() []*faults.TimeoutError {
 func (c *Comm) chaosDeliver(d *Comm, env *progress.Env, size int) {
 	w := c.w
 	env.Xid = w.xmitSeq.Add(1)
+	vid := linkMsgID(c.rank, d.rank, c.linkSeq[d.rank].Add(1))
 	if w.fec != nil && env.Rts == nil {
 		// Eager segments route through the FEC framer (fec.go): a lost
 		// first attempt waits for its group's parity before falling back
 		// to the retry walk below.
-		w.fec.send(c, d, env, size)
+		w.fec.send(c, d, env, size, vid)
 		return
 	}
-	c.chaosWalk(d, env, size, 0, 0)
+	c.chaosWalk(d, env, size, vid, 0, 0)
+}
+
+// linkMsgID folds a message's deterministic identity — (src, dst,
+// per-link seq) — into one well-mixed value, so that draws keyed on the
+// id alone, such as retry jitter, differ between links.
+func linkMsgID(src, dst int, seq uint64) uint64 {
+	x := (uint64(uint32(src))<<32|uint64(uint32(dst)))*0x9e3779b97f4a7c15 ^ seq
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // chaosWalk resolves the attempt sequence from startAttempt on, with
-// wait already accumulated by earlier (consumed) attempts. A corrupt
-// verdict is a detected loss — the damaged copy fails its checksum at
-// the receiver — so it burns an attempt exactly like a drop.
-func (c *Comm) chaosWalk(d *Comm, env *progress.Env, size int, startAttempt int, wait time.Duration) {
+// wait already accumulated by earlier (consumed) attempts; vid is the
+// message's per-link verdict identity. A corrupt verdict is a detected
+// loss — the damaged copy fails its checksum at the receiver — so it
+// burns an attempt exactly like a drop.
+func (c *Comm) chaosWalk(d *Comm, env *progress.Env, size int, vid uint64, startAttempt int, wait time.Duration) {
 	w := c.w
 	for attempt := startAttempt; attempt < w.rec.MaxAttempts; attempt++ {
-		v := w.inj.Message(c.rank, d.rank, env.Tag, env.Xid, attempt, c.Now(), size)
+		v := w.inj.Message(c.rank, d.rank, env.Tag, vid, attempt, c.Now(), size)
 		if v.Drop || v.Corrupt {
 			c.traceFault(trace.FaultDrop, d.rank, env.Tag, size, env.Xid)
-			wait += w.rec.RetryDelay(attempt, env.Xid)
+			wait += w.rec.RetryDelay(attempt, vid)
 			if attempt+1 < w.rec.MaxAttempts {
 				w.inj.NoteRetry()
 				c.traceFault(trace.FaultRetry, d.rank, env.Tag, size, env.Xid)

@@ -54,7 +54,6 @@ type fecCtl struct {
 
 	mu   sync.Mutex
 	open map[uint64]*fecGroup // directed link -> group being filled
-	gid  uint64
 
 	encoded       atomic.Uint64
 	reconstructed atomic.Uint64
@@ -81,16 +80,17 @@ type fecMember struct {
 	d     *Comm
 	env   *progress.Env
 	size  int
+	vid   uint64 // per-link verdict identity (see chaosDeliver)
 	lost  bool
 	shard []byte
 }
 
 // send carries one eager envelope under FEC: resolve the first attempt's
 // verdict, deliver survivors immediately, park losses in the group.
-func (f *fecCtl) send(c *Comm, d *Comm, env *progress.Env, size int) {
+func (f *fecCtl) send(c *Comm, d *Comm, env *progress.Env, size int, vid uint64) {
 	w := f.w
-	v := w.inj.Message(c.rank, d.rank, env.Tag, env.Xid, 0, c.Now(), size)
-	mem := &fecMember{d: d, env: env, size: size, lost: v.Drop || v.Corrupt}
+	v := w.inj.Message(c.rank, d.rank, env.Tag, vid, 0, c.Now(), size)
+	mem := &fecMember{d: d, env: env, size: size, vid: vid, lost: v.Drop || v.Corrupt}
 	if mem.lost {
 		c.traceFault(trace.FaultDrop, d.rank, env.Tag, size, env.Xid)
 	} else {
@@ -114,8 +114,9 @@ func (f *fecCtl) send(c *Comm, d *Comm, env *progress.Env, size int) {
 	f.mu.Lock()
 	g := f.open[key]
 	if g == nil {
-		f.gid++
-		g = &fecGroup{id: f.gid, src: c, ds: d}
+		// The first member's identity names the group: deterministic, and
+		// independent of other links' traffic.
+		g = &fecGroup{id: vid, src: c, ds: d}
 		f.open[key] = g
 		// Idle flush: a trickling stream must not hold its losses hostage
 		// for long — unresolved members are invisible to the ARQ backstop
@@ -171,7 +172,7 @@ func (f *fecCtl) close(g *fecGroup) {
 	for j := 0; j < m; j++ {
 		ptag := comm.MakeTag(comm.KindFec, int(g.id%comm.SeqWrap), j)
 		pxid := w.xmitSeq.Add(1)
-		pv := w.inj.Message(g.src.rank, g.ds.rank, ptag, pxid, 0, g.src.Now(), len(parity[j]))
+		pv := w.inj.Message(g.src.rank, g.ds.rank, ptag, g.id, 0, g.src.Now(), len(parity[j]))
 		if pv.Drop || pv.Corrupt {
 			g.src.traceFault(trace.FaultDrop, g.ds.rank, ptag, len(parity[j]), pxid)
 			comm.PutBuf(parity[j])
@@ -211,7 +212,7 @@ func (f *fecCtl) close(g *fecGroup) {
 		// retransmitting sender would be after its first timeout.
 		for _, i := range missing {
 			mem := g.members[i]
-			g.src.chaosWalk(mem.d, mem.env, mem.size, 1, w.rec.RetryDelay(0, mem.env.Xid))
+			g.src.chaosWalk(mem.d, mem.env, mem.size, mem.vid, 1, w.rec.RetryDelay(0, mem.vid))
 		}
 	}
 	for _, mem := range g.members {

@@ -100,6 +100,9 @@ func NewWorld(n int, opts ...Option) *World {
 	}
 	for r := 0; r < n; r++ {
 		c := &Comm{w: w, rank: r, wake: make(chan struct{}, 1)}
+		if w.inj != nil {
+			c.linkSeq = make([]atomic.Uint64, n)
+		}
 		c.eng = progress.New(progress.Backend{
 			Prefix:  "runtime",
 			Rank:    r,
@@ -186,6 +189,11 @@ type Comm struct {
 	rank int
 	eng  *progress.Engine
 	wake chan struct{}
+
+	// linkSeq counts this rank's transmissions per destination under a
+	// fault plan: the (src, dst, per-link seq) identity that fault
+	// verdicts are keyed on (see chaosDeliver).
+	linkSeq []atomic.Uint64
 }
 
 var _ comm.Comm = (*Comm)(nil)

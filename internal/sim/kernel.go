@@ -9,10 +9,17 @@
 // and orders simultaneous events by insertion sequence. Two runs of the
 // same workload produce identical virtual-time trajectories.
 //
-// The event queue is a two-tier bucketed calendar ("ladder") queue with a
-// monomorphic 4-ary heap as its front tier (see queue.go): amortized O(1)
-// schedule and dispatch with zero per-event allocations, preserving the
-// exact (at, seq) dispatch order of a single flat heap.
+// Pending events live in two structures (see queue.go). Events scheduled
+// with delay 0 go to a same-instant FIFO lane; all others go to a
+// two-tier bucketed calendar ("ladder") queue with a monomorphic 4-ary
+// heap as its front tier. Both give amortized O(1) schedule and dispatch
+// with zero per-event allocations, and together they preserve the exact
+// (at, seq) dispatch order of a single flat heap.
+//
+// An event's target is a Handler. Schedule wraps a plain func in the
+// Func adapter; substrates that step a per-message state machine
+// (netmodel flights, simmpi transfers) schedule a pooled struct instead,
+// so a step allocates no closure.
 package sim
 
 import (
@@ -23,10 +30,22 @@ import (
 	"adapt/internal/perf"
 )
 
+// Handler is an event's target: the kernel calls Fire at the event's
+// virtual time.
+type Handler interface{ Fire() }
+
+// Func adapts a plain function to Handler. A func value is
+// pointer-shaped, so the conversion allocates nothing.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
 // Kernel is a discrete-event simulator instance.
 type Kernel struct {
 	now   time.Duration
-	queue eventQueue
+	queue eventQueue // events scheduled with delay > 0
+	lane  eventRing  // events scheduled with delay 0, all at now, FIFO
 	seq   uint64
 
 	yield chan struct{} // process → kernel control handoff
@@ -53,18 +72,8 @@ type Kernel struct {
 	onDispatch func(seq uint64, at time.Duration)
 }
 
-// New creates an empty kernel at virtual time zero with the default
-// (ladder) event queue.
-func New() *Kernel { return NewWithQueue(QueueLadder) }
-
-// NewWithQueue creates an empty kernel using the given event-queue
-// implementation. Both kinds dispatch in the identical (at, seq) order;
-// QueueHeap is the flat-heap reference for differential testing.
-func NewWithQueue(kind QueueKind) *Kernel {
-	k := &Kernel{yield: make(chan struct{})}
-	k.queue.heapOnly = kind == QueueHeap
-	return k
-}
+// New creates an empty kernel at virtual time zero.
+func New() *Kernel { return &Kernel{yield: make(chan struct{})} }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() time.Duration { return k.now }
@@ -90,21 +99,35 @@ func (k *Kernel) Stats() Stats {
 		Scheduled:    k.scheduled,
 		QueuePeak:    k.queuePeak,
 		QueuePeakRun: k.runPeak,
-		QueueLen:     k.queue.len(),
+		QueueLen:     k.pending(),
 	}
 }
 
-// Schedule runs fn after delay ≥ 0 of virtual time. This is the single
-// validation and insertion site for events: At funnels through it, so an
-// event placed in the past always fails here with the same diagnostic.
+// pending counts the events not yet dispatched.
+func (k *Kernel) pending() int { return k.queue.len() + k.lane.n }
+
+// Schedule runs fn after delay ≥ 0 of virtual time.
 func (k *Kernel) Schedule(delay time.Duration, fn func()) {
+	k.ScheduleHandler(delay, Func(fn))
+}
+
+// ScheduleHandler fires h after delay ≥ 0 of virtual time. This is the
+// single validation and insertion site for events: Schedule and At
+// funnel through it, so an event placed in the past always fails here
+// with the same diagnostic.
+func (k *Kernel) ScheduleHandler(delay time.Duration, h Handler) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: event in the past: %v < %v", k.now+delay, k.now))
 	}
 	k.seq++
 	k.scheduled++
-	k.queue.push(event{at: k.now + delay, seq: k.seq, fn: fn})
-	if n := k.queue.len(); n > k.runPeak {
+	e := event{at: k.now + delay, seq: k.seq, h: h}
+	if delay == 0 {
+		k.lane.push(e)
+	} else {
+		k.queue.push(e)
+	}
+	if n := k.pending(); n > k.runPeak {
 		k.runPeak = n
 		if n > k.queuePeak {
 			k.queuePeak = n
@@ -122,7 +145,12 @@ func (k *Kernel) SetDispatchObserver(fn func(seq uint64, at time.Duration)) {
 
 // At runs fn at absolute virtual time t ≥ Now().
 func (k *Kernel) At(t time.Duration, fn func()) {
-	k.Schedule(t-k.now, fn)
+	k.ScheduleHandler(t-k.now, Func(fn))
+}
+
+// AtHandler fires h at absolute virtual time t ≥ Now().
+func (k *Kernel) AtHandler(t time.Duration, h Handler) {
+	k.ScheduleHandler(t-k.now, h)
 }
 
 // deadlockReportCap bounds how many stuck-process names a deadlock error
@@ -134,21 +162,33 @@ const deadlockReportCap = 16
 // alive when the queue is empty, the simulation is deadlocked and Run
 // returns an error naming the first deadlockReportCap stuck processes
 // (plus a total). On success it returns the final virtual time.
+//
+// Dispatch order is (at, seq) across both structures. Every queued event
+// at now was scheduled with delay > 0 before the clock reached now, so
+// its seq is below that of every lane event, all of which were scheduled
+// at now: queued events at now run first, then the lane drains. While it
+// drains, no queued event at now can appear, because a lane handler's
+// delay-0 work joins the lane and all other work lands after now.
 func (k *Kernel) Run() (time.Duration, error) {
-	for k.queue.len() > 0 {
-		e := k.queue.pop()
-		k.now = e.at
-		k.dispatched++
-		if k.onDispatch != nil {
-			k.onDispatch(e.seq, e.at)
+	for {
+		if k.queue.len() > 0 && (k.lane.n == 0 || k.queue.minAt() == k.now) {
+			e := k.queue.pop()
+			k.now = e.at
+			k.dispatch(e)
+			continue
 		}
-		e.fn()
+		if k.lane.n == 0 {
+			break
+		}
+		for k.lane.n > 0 {
+			k.dispatch(k.lane.pop())
+		}
 	}
 	perf.RecordKernelRun(k.dispatched-k.reportedDispatched,
 		k.scheduled-k.reportedScheduled, k.runPeak)
 	k.reportedDispatched = k.dispatched
 	k.reportedScheduled = k.scheduled
-	k.runPeak = k.queue.len() // 0: the queue just drained
+	k.runPeak = 0 // both structures just drained
 	if k.live > 0 {
 		var stuck []string
 		for _, p := range k.procs {
@@ -165,6 +205,15 @@ func (k *Kernel) Run() (time.Duration, error) {
 		return k.now, fmt.Errorf("sim: deadlock at %v: %d processes stuck: %v%s", k.now, k.live, stuck, more)
 	}
 	return k.now, nil
+}
+
+// dispatch fires one event.
+func (k *Kernel) dispatch(e event) {
+	k.dispatched++
+	if k.onDispatch != nil {
+		k.onDispatch(e.seq, e.at)
+	}
+	e.h.Fire()
 }
 
 // MustRun is Run that panics on deadlock, for tests and benchmarks.

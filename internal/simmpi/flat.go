@@ -47,7 +47,9 @@ func (w *World) SpawnFlat(body func(c *Comm)) {
 	for _, c := range w.ranks {
 		c := c
 		c.flat = true
-		c.drainFn = c.drainFlat
+		if c.drainFn == nil {
+			c.drainFn = c.drainFlat // bound once: worlds respawn every phase
+		}
 		w.K.Schedule(0, func() { body(c) })
 	}
 }

@@ -263,3 +263,46 @@ func TestFlatRejectsFaultInjection(t *testing.T) {
 	w.InstallFaults(faults.MustParsePlan("seed=1; all: drop=0.1"), faults.DefaultRecovery())
 	w.SpawnFlat(func(c *simmpi.Comm) {})
 }
+
+// TestFlatSteadyStateAllocs bounds heap allocations per dispatched event
+// once a flat world is warm: a 1,024-rank bcast and allreduce, respawned
+// on the same world each round (the perfbench sim-flat shape, scaled
+// down). What remains is per-rank collective setup and the one Req each
+// send and receive needs; message transfers, stream pumps, the event
+// queue and the matching engine's queues allocate nothing. Closure-based
+// transfers cost about 4.2 allocations per event here.
+func TestFlatSteadyStateAllocs(t *testing.T) {
+	const ranks = 1024
+	p := netmodel.Cori(ranks / 32)
+	p.Aggregate = true
+	k := sim.New()
+	w := simmpi.NewWorld(k, p, noise.None)
+	tree := trees.Binomial(ranks, 0)
+	seq := 0
+	round := func() {
+		for kind := 0; kind < 2; kind++ {
+			opt := core.DefaultOptions()
+			opt.Seq = seq % comm.SeqWrap
+			seq++
+			w.SpawnFlat(func(c *simmpi.Comm) {
+				if kind == 0 {
+					core.StartBcast(c, tree, comm.Sized(1024), opt)
+				} else {
+					core.StartAllreduce(c, tree, comm.Sized(1024), opt)
+				}
+			})
+			k.MustRun()
+		}
+	}
+	round()
+	round()
+	d0 := k.Stats().Dispatched
+	allocs := testing.AllocsPerRun(4, round)
+	events := float64(k.Stats().Dispatched-d0) / 5 // AllocsPerRun adds a warm-up run
+	perEvent := allocs / events
+	t.Logf("%.2f allocs per event (%.0f allocs, %.0f events per round)", perEvent, allocs, events)
+	if perEvent > 2.5 {
+		t.Fatalf("steady-state flat round: %.2f allocs per event (%.0f allocs, %.0f events), want ≤ 2.5",
+			perEvent, allocs, events)
+	}
+}

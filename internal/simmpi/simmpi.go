@@ -55,6 +55,8 @@ type World struct {
 	// Fail-stop crash schedule and detector (nil = no crash rules armed;
 	// see crash.go).
 	crash *crashCtl
+	// Recycled fault-free transfer state machines (see xfer.go).
+	xferFree []*xfer
 }
 
 // NewWorld builds the per-rank endpoints for platform p with the given
@@ -194,7 +196,7 @@ func (c *Comm) Isend(dst int, tag comm.Tag, msg comm.Msg) comm.Request {
 	if lag := c.sendLag(); lag > 0 {
 		// Flat mode with the rank's busy clock ahead of virtual time: the
 		// protocol launches when the rank would actually have issued it.
-		c.w.K.Schedule(lag, func() { c.launchSend(req, dst, tag, msg) })
+		c.w.K.ScheduleHandler(lag, c.w.newXfer(xLaunch, c, c.w.ranks[dst], req, tag, msg))
 	} else {
 		c.launchSend(req, dst, tag, msg)
 	}
@@ -219,29 +221,18 @@ func (c *Comm) sendLag() time.Duration {
 // eager push or rendezvous announcement. Runs at the rank's issue time.
 func (c *Comm) launchSend(req *progress.Req, dst int, tag comm.Tag, msg comm.Msg) {
 	d := c.w.ranks[dst]
-	st := comm.Status{Source: c.rank, Tag: tag, Msg: msg}
 	if msg.Size <= c.w.Net.P.EagerLimit {
 		if c.w.inj != nil {
-			c.chaosEager(d, req, tag, msg, st)
+			c.chaosEager(d, req, tag, msg, comm.Status{Source: c.rank, Tag: tag, Msg: msg})
 			return
 		}
 		// Eager: ship the payload now; sender completes at first-hop end.
 		// Real payloads are snapshotted into a pooled buffer — the sender
 		// may reuse its buffer the moment the send completes, which is
 		// before the match — and the receiver owns the copy from here on.
-		send := msg
-		if msg.Data != nil {
-			buf := comm.GetBuf(len(msg.Data))
-			copy(buf, msg.Data)
-			send.Data = buf
-		}
-		c.w.Net.StartTransfer(c.rank, dst, msg.Size, msg.Space,
-			func() { req.Complete(st) },
-			func() {
-				env := d.eng.NewEnv(c.rank, tag, send, nil)
-				env.PostID = req.PostID
-				d.arrive(env)
-			})
+		x := c.w.newXfer(xEager, c, d, req, tag, msg)
+		x.snapshot()
+		c.w.Net.Fly(&x.fl, c.rank, dst, msg.Size, msg.Space, x)
 		return
 	}
 	// Rendezvous: announce via RTS; data moves once the receiver matches.
@@ -250,11 +241,7 @@ func (c *Comm) launchSend(req *progress.Req, dst int, tag comm.Tag, msg comm.Msg
 		return
 	}
 	rtsDelay := c.w.Net.ControlLatency(c.rank, dst) + c.w.Net.P.RndvAlpha
-	c.w.K.Schedule(rtsDelay, func() {
-		env := d.eng.NewEnv(c.rank, tag, msg, req)
-		env.PostID = req.PostID
-		d.arrive(env)
-	})
+	c.w.K.ScheduleHandler(rtsDelay, c.w.newXfer(xRTS, c, d, req, tag, msg))
 }
 
 // Irecv posts a non-blocking receive matching (src, tag) into the rank's
@@ -313,37 +300,22 @@ func (c *Comm) onMatch(req *progress.Req, env *progress.Env, wasUnexpected bool)
 		// Rendezvous: grant (CTS) travels back, then the data flies. The
 		// sender keeps its buffer until its request completes; the transfer
 		// snapshots it into a pooled, receiver-owned copy at start time.
-		ctsDelay := net.ControlLatency(c.rank, src) + net.P.RndvAlpha
-		c.w.K.Schedule(ctsDelay, func() {
-			recv := msg
-			if msg.Data != nil {
-				buf := comm.GetBuf(len(msg.Data))
-				copy(buf, msg.Data)
-				recv.Data = buf
-			}
-			st := comm.Status{Source: src, Tag: tag, Msg: recv}
-			net.StartTransfer(src, c.rank, msg.Size, msg.Space,
-				func() { sender.Complete(comm.Status{Source: src, Tag: tag, Msg: msg}) },
-				func() {
-					net.DeliverFrom(src, c.rank, msg.Size, req.Space, func() { req.Complete(st) })
-				})
-		})
+		x := c.w.newXfer(xCTS, c.w.ranks[src], c, req, tag, msg)
+		x.rts = sender
+		c.w.K.ScheduleHandler(net.ControlLatency(c.rank, src)+net.P.RndvAlpha, x)
 		return
 	}
 	// Eager payload already at the host boundary (and, when real, already a
-	// pooled copy owned by this rank — see Isend).
-	st := comm.Status{Source: src, Tag: tag, Msg: msg}
-	finish := func() {
-		net.DeliverFrom(src, c.rank, msg.Size, req.Space, func() { req.Complete(st) })
-	}
+	// pooled copy owned by this rank — see launchSend).
+	x := c.w.newXfer(xCopyOut, c.w.ranks[src], c, req, tag, msg)
+	x.data = msg.Data
 	if wasUnexpected {
 		// Buffered copy-out penalty (paper §2.2.1: "memory allocation and
 		// data copying ... significant latency").
-		penalty := net.P.UnexpectedAlpha + net.P.CopyBw.Over(msg.Size)
-		c.w.K.Schedule(penalty, finish)
+		c.w.K.ScheduleHandler(net.P.UnexpectedAlpha+net.P.CopyBw.Over(msg.Size), x)
 		return
 	}
-	finish()
+	x.deliver()
 }
 
 // Send performs a blocking send (Isend + Wait): for rendezvous sizes it
