@@ -260,3 +260,54 @@ func TestNVLinkOnlyIntraSocket(t *testing.T) {
 			crossSock, crossNode, minPCIe)
 	}
 }
+
+// landing records a Flight's milestones.
+type landing struct {
+	k            *sim.Kernel
+	sent, landed []time.Duration
+}
+
+func (l *landing) Sent()   { l.sent = append(l.sent, l.k.Now()) }
+func (l *landing) Landed() { l.landed = append(l.landed, l.k.Now()) }
+
+// TestFlightEventShape pins a Flight's event chain on an idle fabric:
+// one event after the route's latency plus one per hop, Sent exactly once
+// at the end of the first hop (after the latency on a hop-less route),
+// and Landed exactly once at the end of the last hop.
+func TestFlightEventShape(t *testing.T) {
+	const m = 1 * MB
+	cori, psg := Cori(2), PSG(2)
+	for _, tc := range []struct {
+		name         string
+		p            *Platform
+		src, dst     int
+		space        comm.MemSpace
+		events       int
+		sent, landed time.Duration
+	}{
+		{"self", cori, 0, 0, comm.MemHost, 1, cori.ShmAlpha, cori.ShmAlpha},
+		{"intra-socket", cori, 0, 1, comm.MemHost, 2,
+			cori.ShmAlpha + cori.ShmBw.Over(m), cori.ShmAlpha + cori.ShmBw.Over(m)},
+		{"inter-node", cori, 0, 32, comm.MemHost, 3,
+			cori.NetAlpha + cori.NetBw.Over(m), cori.NetAlpha + 2*cori.NetBw.Over(m)},
+		{"device-inter-node", psg, 0, 4, comm.MemDevice, 4,
+			psg.PCIeAlpha + psg.NetAlpha + psg.PCIeBw.Over(m),
+			psg.PCIeAlpha + psg.NetAlpha + psg.PCIeBw.Over(m) + 2*psg.NetBw.Over(m)},
+	} {
+		k := sim.New()
+		n := NewNet(k, tc.p)
+		l := &landing{k: k}
+		var f Flight
+		n.Fly(&f, tc.src, tc.dst, m, tc.space, l)
+		k.MustRun()
+		if got := int(k.Stats().Dispatched); got != tc.events {
+			t.Errorf("%s: %d events, want %d", tc.name, got, tc.events)
+		}
+		if len(l.sent) != 1 || l.sent[0] != tc.sent {
+			t.Errorf("%s: Sent at %v, want once at %v", tc.name, l.sent, tc.sent)
+		}
+		if len(l.landed) != 1 || l.landed[0] != tc.landed {
+			t.Errorf("%s: Landed at %v, want once at %v", tc.name, l.landed, tc.landed)
+		}
+	}
+}
