@@ -113,6 +113,13 @@ func TestSoakSessions(t *testing.T) {
 		t.FailNow()
 	}
 
+	// A client's Close returns once the server said goodbye; the server
+	// tears its side down (and counts it closed) only after it sees the
+	// connection end. Wait for that count before reading the stats.
+	drained := time.Now().Add(10 * time.Second)
+	for srv.Stats().SessionsClosed < uint64(nSess) && time.Now().Before(drained) {
+		time.Sleep(time.Millisecond)
+	}
 	st := srv.Stats()
 	if st.Sessions != uint64(nSess) {
 		t.Errorf("accepted %d sessions, want %d", st.Sessions, nSess)
