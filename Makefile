@@ -54,10 +54,15 @@ chaos:
 
 # Fail-stop conformance under the race detector: survivor-set grids for
 # the fault-tolerant collectives (crash@rank plans, detector, tree
-# repair) on both substrates, plus the clean-run detector-counter gate.
+# repair) on both substrates, plus the clean-run detector-counter gate;
+# the shared crash schedule and lease detector (internal/faults); and the
+# live crash paths — the runtime's (TestReduceFTCrashLive and the other
+# FT collectives) and the TCP endpoint's.
 crash:
 	ADAPT_CONFORM_FULL=1 $(GO) test -race -v -run 'TestCrash|TestCleanRunDetectorCountersZero' ./internal/conform
+	$(GO) test -race ./internal/faults/...
 	$(GO) test -race -run 'TestBcastFT|TestReduceFT|TestFTDeterministicSchedule' ./internal/core
+	$(GO) test -race -run 'TestCrash|TestBackToBackFTAfterCrash' ./internal/nettransport
 
 # Causal-trace pipeline gate: analyzer + exporter tests (including the
 # critical-path == sim-makespan check), trace.Buffer under concurrent
@@ -101,13 +106,14 @@ obs:
 	$(GO) test -run '^$$' -bench 'BenchmarkObserve|BenchmarkCounterDisabled|BenchmarkLatencyBracketDisabled' -benchmem ./internal/metrics
 	./scripts/bench.sh
 
-# Erasure-coding gate: the codec and controller under the race detector,
-# the FEC paths of all three substrates (simulator, live runtime, TCP
-# loopback), the cross-substrate FEC conformance grids, and the
+# Erasure-coding gate: the codec, controller and the shared group
+# framer/repair step under the race detector, the FEC paths of all three
+# substrates (simulator, live runtime, TCP loopback) with the bounded
+# receive-dedup tests, the cross-substrate FEC conformance grids, and the
 # loss-sweep benchmark with its zero-retransmit gate (BENCH_fec.json).
 fec:
 	$(GO) test -race ./internal/fec/...
-	$(GO) test -race -run 'TestFEC|TestLiveFEC|TestNetFEC' ./internal/simmpi ./internal/runtime ./internal/nettransport
+	$(GO) test -race -run 'TestFEC|TestLiveFEC|TestNetFEC|Dedup' ./internal/simmpi ./internal/runtime ./internal/nettransport
 	$(GO) test -race -run 'TestConformanceFEC' ./internal/conform
 	$(GO) run ./cmd/adaptbench -fec-json BENCH_fec.json -scale quick
 

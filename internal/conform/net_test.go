@@ -49,6 +49,13 @@ func TestConformanceGridTCP(t *testing.T) {
 				})
 			}
 		}
+		// One cell past the eager limit, unsegmented: every transfer is a
+		// rendezvous, and reduce and allreduce have two or more rendezvous
+		// senders into one rank.
+		size := 3 * (nettransport.DefaultEagerLimit / (8 * n)) * 8 * n
+		t.Run(fmt.Sprintf("n%d/%dB/1seg-rdv", n, size), func(t *testing.T) {
+			runNetGridCell(t, p, topo, size, 0)
+		})
 	}
 	// A clean loopback link must not move the fault-path counters: no
 	// dial retries, no peer-down observations (scripts/bench.sh gates on

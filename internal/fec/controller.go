@@ -145,16 +145,3 @@ func (ct *Controller) ChooseM(src, dst, k int) int {
 	metrics.RecordLink(src, dst, loss, m)
 	return m
 }
-
-// LinkEstimates snapshots every observed link's loss EWMA, keyed by
-// directed (src, dst) — the controller-local view of the health table
-// the telemetry plane aggregates.
-func (ct *Controller) LinkEstimates() map[[2]int]float64 {
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	out := make(map[[2]int]float64, len(ct.links))
-	for k, loss := range ct.links {
-		out[[2]int{int(int32(k >> 32)), int(int32(k))}] = loss
-	}
-	return out
-}

@@ -25,21 +25,34 @@ var mDetectLatency = metrics.NewHistogram("adapt_detector_confirm_latency_ns",
 // handshake — rather than inferred silence: TCP resets and FINs from a
 // dying process arrive promptly on loopback, and a lease on top of the
 // observation keeps a transient glitch from instantly committing a
-// death. Mirrors the runtime substrate's detector (runtime/crash.go):
-// suspicion is counters-only, confirmation fans a death Notice to the
-// owner's control plane and fails every pending operation that depended
-// on the dead peer.
+// death. The leases, masks and counters are the shared
+// faults.Detector's, observed from this endpoint: suspicion is
+// counters-only, confirmation fans a death Notice to the owner's control
+// plane and fails every pending operation that depended on the dead
+// peer (confirmDeath).
+
+// newDetector builds the endpoint's view of its world's deaths: its own
+// crash countdown plus the peers it has seen vanish.
+func (c *Comm) newDetector() *faults.Detector {
+	return faults.NewDetector(c.size, c.cfg.crashPlan, c.cfg.rec, faults.LeaseHooks{
+		After:    func(d time.Duration, fn func()) { time.AfterFunc(d, fn) },
+		Now:      c.Now,
+		Trace:    func() *trace.Buffer { return c.cfg.traceBuf },
+		Observer: c.rank,
+		Live:     func() bool { return !c.isClosed() },
+		Confirm:  c.confirmDeath,
+	})
+}
 
 // peerLost records a connection loss without the clean handshake and
 // arms the suspicion/confirmation leases. Callable from any goroutine;
 // idempotent per peer.
 func (c *Comm) peerLost(rank int, cause error) {
 	c.mu.Lock()
-	if c.closed || c.peerDown[rank] {
+	if c.closed || !c.det.MarkDead(rank) {
 		c.mu.Unlock()
 		return
 	}
-	c.peerDown[rank] = true
 	c.lostAt[rank] = metrics.Clock()
 	c.mu.Unlock()
 	perf.RecordNetPeerDown()
@@ -47,42 +60,30 @@ func (c *Comm) peerLost(rank int, cause error) {
 		tb.Add(trace.Record{At: c.Now(), Rank: c.rank, Kind: trace.Crash, Peer: rank})
 	}
 	c.sched.markDead(rank, cause)
-	time.AfterFunc(c.cfg.rec.SuspectAfter, func() {
-		if c.isClosed() {
-			return
-		}
-		perf.RecordDetectorSuspect()
-		if tb := c.cfg.traceBuf; tb != nil {
-			tb.Add(trace.Record{At: c.Now(), Rank: c.rank, Kind: trace.Suspect, Peer: rank})
-		}
-	})
-	time.AfterFunc(c.cfg.rec.ConfirmAfter, func() { c.confirmDeath(rank) })
+	c.det.Lease(rank)
 }
 
-// confirmDeath commits a suspected death: mask it, notify the owner, and
-// fail every pending operation waiting on the dead peer.
+// confirmDeath is this endpoint's side of a confirmed death: fail every
+// pending operation waiting on the dead peer and notify the owner. The
+// detector has already set the confirmed mask, so an Isend or match
+// racing this sweep either sees the mask or registers before the sweep
+// takes c.mu.
 func (c *Comm) confirmDeath(rank int) {
 	c.mu.Lock()
-	if c.closed || c.confirmed[rank] {
-		c.mu.Unlock()
-		return
-	}
-	c.confirmed[rank] = true
 	lostAt := c.lostAt[rank]
-
 	// Rendezvous sends parked on a grant that will never come.
-	for xid, req := range c.sendPend {
-		if req.Dst != rank {
+	for key, req := range c.sendPend {
+		if key.peer != rank {
 			continue
 		}
-		delete(c.sendPend, xid)
+		delete(c.sendPend, key)
 		req.Complete(comm.Status{Source: c.rank, Tag: req.Tag,
 			Err: &faults.TimeoutError{Rank: c.rank, Peer: rank, Tag: req.Tag, Attempts: 1}})
 	}
 	// Matched receives parked on a payload that will never stream.
-	for xid, pl := range c.pulls {
-		if pl.src == rank {
-			c.failPullLocked(xid)
+	for key := range c.pulls {
+		if key.peer == rank {
+			c.failPullLocked(key)
 		}
 	}
 	c.mu.Unlock()
@@ -95,13 +96,7 @@ func (c *Comm) confirmDeath(rank int) {
 	})
 
 	c.eng.PushNotice(comm.Notice{Kind: comm.NoticeDeath, Rank: rank})
-	perf.RecordDetectorConfirm()
-	perf.RecordTreeRepair()
 	mDetectLatency.ObserveSince(lostAt)
-	if tb := c.cfg.traceBuf; tb != nil {
-		tb.Add(trace.Record{At: c.Now(), Rank: c.rank, Kind: trace.Confirm, Peer: rank})
-		tb.Add(trace.Record{At: c.Now(), Rank: c.rank, Kind: trace.Repair, Peer: rank})
-	}
 	if f := c.cfg.onPeerDeath; f != nil {
 		f(rank)
 	}
@@ -119,15 +114,9 @@ func (c *Comm) isClosed() bool {
 // tears the process's connections down abruptly — no Bye — and leaves
 // via the configured exit hook. Owner-goroutine only.
 func (c *Comm) noteSend() {
-	if c.crashAfter < 0 || c.deadSelf {
+	if !c.det.NoteSend(c.rank) {
 		return
 	}
-	n := c.sendsSeen
-	c.sendsSeen++
-	if n < c.crashAfter {
-		return
-	}
-	c.deadSelf = true
 	if tb := c.cfg.traceBuf; tb != nil {
 		tb.Add(trace.Record{At: c.Now(), Rank: c.rank, Kind: trace.Crash, Peer: -1})
 	}
@@ -145,32 +134,12 @@ func (c *Comm) noteSend() {
 // leaves behind. The dying endpoint marks itself closed first so its own
 // I/O loop observing the teardown never feeds the (now moot) detector.
 func (c *Comm) die() {
-	c.mu.Lock()
-	c.closed = true
-	c.mu.Unlock()
-	if c.fecTx != nil {
-		c.fecTx.shutdown()
-	}
+	c.shut()
 	// Kill every send queue (backlogs dispose, the writer drains and
-	// exits), stop the readiness loop, then cut the sockets. The loop must
-	// stop before the raw fds close.
+	// exits), then stop the loop and cut the sockets.
 	c.sched.markAllDead(errCrashed{})
 	c.sched.closeAll()
-	if c.io != nil {
-		c.io.stop()
-	}
-	for _, cs := range c.conns {
-		if cs == nil {
-			continue
-		}
-		cs.conn.Close()
-		if cs.file != nil {
-			cs.file.Close()
-		}
-	}
-	if c.ln != nil {
-		c.ln.Close()
-	}
+	c.stopIO()
 }
 
 type errCrashed struct{}
@@ -182,34 +151,45 @@ func (errCrashed) Error() string { return "nettransport: rank crashed (fail-stop
 // closed. After Close the endpoint must not be used. Losses observed
 // during teardown never count as deaths.
 func (c *Comm) Close() {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if !c.shut() {
 		return
 	}
-	c.closed = true
-	c.mu.Unlock()
-	if c.fecTx != nil {
-		c.fecTx.shutdown()
-	}
 	for r, cs := range c.conns {
-		if cs == nil {
-			continue
+		if cs != nil {
+			c.sched.enqueue(r, outFrame{hdr: encodeBye()})
 		}
-		c.sched.enqueue(r, outFrame{hdr: encodeBye()})
 	}
 	c.sched.closeAll()
 	<-c.sched.done // writer flushed (or gave up); the Byes are on the wire
+	c.stopIO()
+}
+
+// shut marks the endpoint closed, so losses from here on are expected,
+// and stops the FEC timers. It reports false when the endpoint already
+// was closed.
+func (c *Comm) shut() bool {
+	c.mu.Lock()
+	was := c.closed
+	c.closed = true
+	c.mu.Unlock()
+	if !was && c.fecTx != nil {
+		c.fecTx.shutdown()
+	}
+	return !was
+}
+
+// stopIO stops the readiness loop, then closes the sockets: the loop
+// must stop before the raw fds close.
+func (c *Comm) stopIO() {
 	if c.io != nil {
 		c.io.stop()
 	}
 	for _, cs := range c.conns {
-		if cs == nil {
-			continue
-		}
-		cs.conn.Close()
-		if cs.file != nil {
-			cs.file.Close()
+		if cs != nil {
+			cs.conn.Close()
+			if cs.file != nil {
+				cs.file.Close()
+			}
 		}
 	}
 	if c.ln != nil {
@@ -219,21 +199,12 @@ func (c *Comm) Close() {
 
 // ---- comm.FailStop implementation ----
 
-// pushNotice appends a control-plane notice and wakes the rank.
-func (c *Comm) pushNotice(n comm.Notice) { c.eng.PushNotice(n) }
-
 // CrashesEnabled reports whether crash rules are armed anywhere in this
 // world — every rank must agree so the FT collectives pick one path.
 func (c *Comm) CrashesEnabled() bool { return c.cfg.crashArmed }
 
 // ConfirmedDead returns a fresh detector-confirmed death mask.
-func (c *Comm) ConfirmedDead() []bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]bool, c.size)
-	copy(out, c.confirmed)
-	return out
-}
+func (c *Comm) ConfirmedDead() []bool { return c.det.ConfirmedMask(c.size) }
 
 // TakeNotices drains this rank's pending control-plane notices.
 func (c *Comm) TakeNotices() []comm.Notice { return c.eng.TakeNotices() }
@@ -252,9 +223,7 @@ func (c *Comm) CancelRecv(r comm.Request) bool { return c.eng.CancelRecv(r) }
 func (c *Comm) Commit(seq int, survivors []bool) {
 	c.noteSend()
 	frame := encodeCommit(seq, survivors)
-	c.mu.Lock()
-	down := append([]bool(nil), c.peerDown...)
-	c.mu.Unlock()
+	down := c.det.DeadMask(c.size)
 	for r, cs := range c.conns {
 		if cs == nil || down[r] {
 			continue

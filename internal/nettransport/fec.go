@@ -8,21 +8,20 @@ import (
 	"adapt/internal/comm"
 	"adapt/internal/faults"
 	"adapt/internal/fec"
-	"adapt/internal/perf"
 	"adapt/internal/progress"
 )
 
 // Forward error correction over the socket transport's eager frame
 // stream — the only substrate where sender and receiver genuinely share
-// nothing but the wire. The sender-side framer (fecSender) groups eager
-// segments per destination, keeps its own snapshot of every payload,
-// and when a group closes (K members or the idle-flush timer) encodes M
-// parity shards and ships each as a fecpar frame carrying the group
-// roster. The receiver-side reconstructor (fecTracker) retains a copy
-// of every delivered eager payload, and on each parity arrival greedily
-// checks the group: erasures within the surviving parity are decoded
-// and delivered through the normal envelope path (duplicate-suppressed
-// by the per-sender xid set), then the group is acknowledged.
+// nothing but the wire. The sender half (fecSender) runs the shared
+// per-link framer of internal/fec, keeps its own snapshot of every
+// payload, and when a group seals (K members or the idle-flush timer)
+// ships each parity shard as a fecpar frame carrying the group roster.
+// The receiver half (fecTracker) retains a copy of every delivered
+// eager payload, and on each parity arrival greedily checks the group:
+// erasures within the surviving parity are decoded by the shared repair
+// step and delivered through the normal envelope path (the engine
+// suppresses duplicates by (src, xid)), then the group is acknowledged.
 //
 // The ARQ backstop is the sender's per-group timer: a group not acked
 // within the retransmit timeout is resent whole — every member and
@@ -42,23 +41,19 @@ import (
 // Sender
 // ---------------------------------------------------------------------
 
-// fecSender is one endpoint's group framer. Isend runs on the owner
-// goroutine but flush/retransmit timers and acks (I/O loop) need the
-// mutex.
+// fecSender is one endpoint's sender half: the shared per-link framer
+// cuts each destination's eager stream into groups; sealed groups wait
+// here for the receiver's ack under the resend timer. Isend runs on the
+// owner goroutine, but flush/retransmit timers and acks (I/O loop) need
+// the mutex.
 type fecSender struct {
-	c   *Comm
-	cfg fec.Config
-	ctl *fec.Controller
-	rec faults.Recovery
+	c      *Comm
+	rec    faults.Recovery
+	framer *fec.Framer[*txMember]
 
 	mu     sync.Mutex
-	open   map[int]*txGroup    // dst -> group being filled
-	sent   map[uint64]*txGroup // gid -> awaiting ack
-	gid    uint64
+	sent   map[peerXid]*txGroup // (dst, gid) -> awaiting ack
 	closed bool
-
-	encoded uint64 // parity shards shipped
-	lost    uint64 // groups that needed the resend path
 }
 
 // txMember is one eager segment retained by its group: roster metadata
@@ -68,13 +63,11 @@ type txMember struct {
 	payload []byte
 }
 
+// txGroup is a sealed group awaiting its ack. Group ids are per link, so
+// the receiver retires resolved groups behind a watermark.
 type txGroup struct {
-	id       uint64
-	dst      int
-	members  []*txMember
+	*fec.Group[*txMember]
 	metas    []fecMeta
-	parity   [][]byte
-	m        int
 	attempts int  // transmissions spent (initial send is attempt 0)
 	fellBack bool // timer fired at least once: the ARQ path ran
 	timer    *time.Timer
@@ -85,8 +78,17 @@ func newFecSender(c *Comm) *fecSender {
 	if rec.MaxAttempts == 0 {
 		rec = faults.DefaultRecovery()
 	}
-	return &fecSender{c: c, cfg: c.cfg.fecCfg, ctl: fec.NewController(c.cfg.fecCfg),
-		rec: rec, open: make(map[int]*txGroup), sent: make(map[uint64]*txGroup)}
+	f := &fecSender{c: c, rec: rec, sent: make(map[peerXid]*txGroup)}
+	f.framer = fec.NewFramer(c.cfg.fecCfg, &c.fecStats, fec.Hooks[*txMember]{
+		// Idle flush: a trickling stream must not park its losses past a
+		// fraction of the RTO — unrepaired members wait on the group's
+		// parity before any resend can help them.
+		FlushAfter: rec.RTO / 4,
+		After:      func(d time.Duration, fn func()) { time.AfterFunc(d, fn) },
+		Shard:      func(m *txMember) []byte { return m.payload },
+		Seal:       f.seal,
+	})
+	return f
 }
 
 // send carries one eager segment under FEC: transmit it now (under this
@@ -94,63 +96,27 @@ func newFecSender(c *Comm) *fecSender {
 // ownership of payload. Owner goroutine.
 func (f *fecSender) send(dst int, meta fecMeta, payload []byte) {
 	f.c.transmitEager(dst, meta, payload, 0)
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
+	if !f.framer.Add(f.c.rank, dst, &txMember{meta: meta, payload: payload}) {
 		comm.PutBuf(payload)
-		return
 	}
-	g := f.open[dst]
-	if g == nil {
-		f.gid++
-		g = &txGroup{id: f.gid, dst: dst}
-		f.open[dst] = g
-		gg := g
-		// Idle flush: a trickling stream must not park its losses past a
-		// fraction of the RTO — unrepaired members wait on the group's
-		// parity before any resend can help them.
-		time.AfterFunc(f.rec.RTO/4, func() { f.flush(dst, gg) })
-	}
-	g.members = append(g.members, &txMember{meta: meta, payload: payload})
-	if len(g.members) >= f.cfg.K {
-		delete(f.open, dst)
-		f.sealLocked(g)
-	}
-	f.mu.Unlock()
 }
 
-// flush seals a group the idle timer caught still open.
-func (f *fecSender) flush(dst int, g *txGroup) {
+// seal ships a sealed group's parity, then parks the group awaiting the
+// receiver's ack under the retransmit timer.
+func (f *fecSender) seal(g *fec.Group[*txMember]) {
+	tg := &txGroup{Group: g, metas: make([]fecMeta, len(g.Members))}
+	for i, mem := range g.Members {
+		tg.metas[i] = mem.meta
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed || f.open[dst] != g {
+	if f.closed {
+		f.releaseLocked(tg)
 		return
 	}
-	delete(f.open, dst)
-	f.sealLocked(g)
-}
-
-// sealLocked encodes and ships the group's parity, then parks the group
-// awaiting the receiver's ack under the retransmit timer.
-func (f *fecSender) sealLocked(g *txGroup) {
-	k := len(g.members)
-	g.metas = make([]fecMeta, k)
-	data := make([][]byte, k)
-	for i, mem := range g.members {
-		g.metas[i] = mem.meta
-		if mem.payload != nil {
-			data[i] = mem.payload
-		} else {
-			data[i] = []byte{}
-		}
-	}
-	g.m = f.ctl.ChooseM(f.c.rank, g.dst, k)
-	g.parity = fec.EncodeParity(fec.Params{K: k, M: g.m}, data)
-	f.encoded += uint64(g.m)
-	perf.RecordFecEncoded(g.m)
-	f.sent[g.id] = g
-	f.transmitParityLocked(g, 0)
-	g.timer = time.AfterFunc(f.rec.RetryDelay(0, g.id), func() { f.expire(g) })
+	f.sent[peerXid{g.Dst, g.ID}] = tg
+	f.transmitParityLocked(tg, 0)
+	tg.timer = time.AfterFunc(f.rec.RetryDelay(0, g.ID), func() { f.expire(tg) })
 }
 
 // transmitParityLocked ships each parity shard as one fecpar frame under
@@ -162,12 +128,12 @@ func (f *fecSender) transmitParityLocked(g *txGroup, attempt int) {
 	for _, m := range g.metas {
 		roster = appendFecMeta(roster, m)
 	}
-	for j, shard := range g.parity {
+	for j, shard := range g.Parity {
 		// The verdict needs a message identity; parity has no tag or xid of
 		// its own, so it borrows a KindFec tag and a group-derived id.
-		ptag := comm.MakeTag(comm.KindFec, int(g.id%uint64(comm.SeqWrap)), j)
-		pxid := g.id<<6 | uint64(j)
-		v := c.inj.Message(c.rank, g.dst, ptag, pxid, attempt, c.Now(), len(shard))
+		ptag := comm.MakeTag(comm.KindFec, int(g.ID%uint64(comm.SeqWrap)), j)
+		pxid := g.ID<<6 | uint64(j)
+		v := c.inj.Message(c.rank, g.Dst, ptag, pxid, attempt, c.Now(), len(shard))
 		if v.Drop {
 			continue
 		}
@@ -178,13 +144,8 @@ func (f *fecSender) transmitParityLocked(g *txGroup, attempt int) {
 		if v.Corrupt {
 			body[int(pxid)%len(body)] ^= 0xa5
 		}
-		hdr := encodeFecParityHdr(g.id, len(g.metas), g.m, j, crc, len(body))
-		fr := outFrame{hdr: hdr, payload: body, pooled: true}
-		if v.Extra > 0 {
-			time.AfterFunc(v.Extra, func() { c.sched.enqueue(g.dst, fr) })
-		} else {
-			c.sched.enqueue(g.dst, fr)
-		}
+		hdr := encodeFecParityHdr(g.ID, len(g.metas), g.Params.M, j, crc, len(body))
+		c.enqueueAfter(v.Extra, g.Dst, outFrame{hdr: hdr, payload: body, pooled: true})
 	}
 }
 
@@ -193,8 +154,9 @@ func (f *fecSender) transmitParityLocked(g *txGroup, attempt int) {
 // missing members structurally.
 func (f *fecSender) expire(g *txGroup) {
 	c := f.c
+	key := peerXid{g.Dst, g.ID}
 	f.mu.Lock()
-	if f.closed || f.sent[g.id] != g {
+	if f.closed || f.sent[key] != g {
 		f.mu.Unlock()
 		return
 	}
@@ -202,74 +164,69 @@ func (f *fecSender) expire(g *txGroup) {
 		// First fire: this group's losses outran (or lost) its parity and
 		// the ARQ path is now paying round trips for it.
 		g.fellBack = true
-		f.lost++
-		perf.RecordFecGroupLost()
+		c.fecStats.GroupLost()
 	}
 	g.attempts++
 	if g.attempts >= f.rec.MaxAttempts {
-		delete(f.sent, g.id)
+		delete(f.sent, key)
 		metas, attempts := g.metas, g.attempts
 		f.releaseLocked(g)
 		f.mu.Unlock()
 		c.inj.NoteTimeout()
 		// The tombstone is the sender's final word — group control
 		// traffic, not subject to injection.
-		c.sched.enqueue(g.dst, outFrame{hdr: encodeFecDead(g.id, attempts, metas)})
+		c.sched.enqueue(g.Dst, outFrame{hdr: encodeFecDead(g.ID, attempts, metas)})
 		return
 	}
-	for _, mem := range g.members {
+	for _, mem := range g.Members {
 		c.inj.NoteRetry()
-		c.transmitEager(g.dst, mem.meta, mem.payload, g.attempts)
+		c.transmitEager(g.Dst, mem.meta, mem.payload, g.attempts)
 	}
 	f.transmitParityLocked(g, g.attempts)
-	g.timer = time.AfterFunc(f.rec.RetryDelay(g.attempts, g.id), func() { f.expire(g) })
+	g.timer = time.AfterFunc(f.rec.RetryDelay(g.attempts, g.ID), func() { f.expire(g) })
 	f.mu.Unlock()
 }
 
 // onAck releases a group the receiver has fully delivered. I/O loop
 // goroutine.
-func (f *fecSender) onAck(gid uint64) {
+func (f *fecSender) onAck(src int, gid uint64) {
+	key := peerXid{src, gid}
 	f.mu.Lock()
-	g := f.sent[gid]
-	if g != nil {
-		delete(f.sent, gid)
-		if g.timer != nil {
-			g.timer.Stop()
-		}
+	if g := f.sent[key]; g != nil {
+		delete(f.sent, key)
+		g.timer.Stop()
 		f.releaseLocked(g)
 	}
 	f.mu.Unlock()
 }
 
 func (f *fecSender) releaseLocked(g *txGroup) {
-	for _, mem := range g.members {
+	for _, mem := range g.Members {
 		if mem.payload != nil {
 			comm.PutBuf(mem.payload)
 			mem.payload = nil
 		}
 	}
-	for _, p := range g.parity {
+	for _, p := range g.Parity {
 		comm.PutBuf(p)
 	}
-	g.parity = nil
+	g.Parity = nil
 }
 
 // shutdown stops every timer and releases retained buffers (endpoint
 // teardown; in-flight groups are abandoned, like any other frame cut off
 // by Close).
 func (f *fecSender) shutdown() {
+	open := f.framer.Shutdown()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.closed = true
-	for dst, g := range f.open {
-		delete(f.open, dst)
-		f.releaseLocked(g)
+	for _, g := range open {
+		f.releaseLocked(&txGroup{Group: g})
 	}
-	for gid, g := range f.sent {
-		delete(f.sent, gid)
-		if g.timer != nil {
-			g.timer.Stop()
-		}
+	for key, g := range f.sent {
+		delete(f.sent, key)
+		g.timer.Stop()
 		f.releaseLocked(g)
 	}
 }
@@ -303,39 +260,40 @@ func (c *Comm) transmitEager(dst int, meta fecMeta, data []byte, attempt int) {
 			hdr[len(hdr)-4] ^= 0xa5
 		}
 	}
-	enq := func(fr outFrame) {
-		if v.Extra > 0 {
-			time.AfterFunc(v.Extra, func() { c.sched.enqueue(dst, fr) })
-			return
-		}
-		c.sched.enqueue(dst, fr)
-	}
-	enq(outFrame{hdr: hdr, payload: first, pooled: true})
+	c.enqueueAfter(v.Extra, dst, outFrame{hdr: hdr, payload: first, pooled: true})
 	if v.Dup {
-		enq(outFrame{hdr: hdr, payload: wire(), pooled: true})
+		c.enqueueAfter(v.Extra, dst, outFrame{hdr: hdr, payload: wire(), pooled: true})
 	}
+}
+
+// enqueueAfter puts fr on dst's queue after a verdict's extra delay.
+func (c *Comm) enqueueAfter(d time.Duration, dst int, fr outFrame) {
+	if d > 0 {
+		time.AfterFunc(d, func() { c.sched.enqueue(dst, fr) })
+		return
+	}
+	c.sched.enqueue(dst, fr)
 }
 
 // ---------------------------------------------------------------------
 // Receiver
 // ---------------------------------------------------------------------
 
-// fecTracker is one endpoint's receive-side chaos state: per-sender
-// duplicate suppression (resends and dup verdicts mean a frame can
-// arrive twice) and, with FEC armed, retained payload copies plus group
-// reconstruction. Frames arrive on the I/O loop; the mutex covers the
-// goroutine-per-conn fallback driver and Close races.
+// fecTracker is one endpoint's receive-side FEC state: retained payload
+// copies and group reconstruction. Duplicate suppression (resends and
+// dup verdicts mean a frame can arrive twice) is the engine's, keyed on
+// (src, xid). Frames arrive on the I/O loop; the mutex covers the
+// goroutine-per-conn fallback driver and Close races. Arrivals from one
+// source are serialized — they are read off one connection — so a
+// tombstone checking Engine.Delivered before the Arrive that records a
+// failure is exact.
 type fecTracker struct {
-	c      *Comm
-	retain bool // FEC armed: keep copies for reconstruction
+	c *Comm
 
 	mu     sync.Mutex
-	seen   []map[uint64]bool      // per src: xids delivered (or failed)
-	recent []map[uint64][]byte    // per src: payload copies awaiting group resolution
-	groups []map[uint64]*rxGroup  // per src: gid -> partially-arrived group
-	done   []map[uint64]bool      // per src: resolved gids (late parity discarded)
-
-	reconstructed uint64
+	recent map[peerXid][]byte   // (src, xid) -> payload copy awaiting group resolution
+	groups map[peerXid]*rxGroup // (src, gid) -> group known from its parity
+	done   []progress.XidSet    // per src: resolved gids (late parity discarded)
 }
 
 // rxGroup is a group known from at least one parity arrival.
@@ -343,62 +301,33 @@ type rxGroup struct {
 	metas  []fecMeta
 	parity [][]byte // arrived shards by index, pooled
 	got    int
-	m      int
 }
 
-func newFecTracker(c *Comm, retain bool) *fecTracker {
-	t := &fecTracker{c: c, retain: retain,
-		seen:   make([]map[uint64]bool, c.size),
-		recent: make([]map[uint64][]byte, c.size),
-		groups: make([]map[uint64]*rxGroup, c.size),
-		done:   make([]map[uint64]bool, c.size)}
-	for r := 0; r < c.size; r++ {
-		t.seen[r] = make(map[uint64]bool)
-		t.recent[r] = make(map[uint64][]byte)
-		t.groups[r] = make(map[uint64]*rxGroup)
-		t.done[r] = make(map[uint64]bool)
-	}
-	return t
+// rxWork is what resolving groups leaves to do outside the tracker lock:
+// repaired segments to deliver and groups to acknowledge.
+type rxWork struct {
+	segs []rxSeg
+	acks []uint64
 }
 
-// onEager delivers one CRC-clean eager frame: suppress duplicates,
-// retain a copy for the group machinery, hand the envelope to the
-// engine. Owns payload.
-func (t *fecTracker) onEager(src int, tag comm.Tag, xid uint64, size int, hasData bool, payload []byte) {
-	t.mu.Lock()
-	if t.seen[src][xid] {
-		t.mu.Unlock()
-		if t.c.inj != nil {
-			t.c.inj.NoteSuppressed()
-		}
-		if payload != nil {
-			comm.PutBuf(payload)
-		}
-		return
-	}
-	t.seen[src][xid] = true
-	var acks []uint64
-	var envs []*progress.Env
-	if t.retain {
-		cp := []byte{}
-		if len(payload) > 0 {
-			cp = comm.GetBuf(len(payload))
-			copy(cp, payload)
-		}
-		t.recent[src][xid] = cp
-		// A parked group waiting on exactly this member (a delayed or
-		// resent copy arriving after its parity) may now be resolvable.
-		for gid, g := range t.groups[src] {
-			if groupHas(g, xid) {
-				acks, envs = t.evaluateLocked(src, gid, g, acks, envs)
-			}
-		}
-	}
-	t.mu.Unlock()
+type rxSeg struct {
+	meta fecMeta
+	data []byte
+}
+
+func newFecTracker(c *Comm) *fecTracker {
+	return &fecTracker{c: c, recent: make(map[peerXid][]byte),
+		groups: make(map[peerXid]*rxGroup), done: make([]progress.XidSet, c.size)}
+}
+
+// arriveEager hands one eager payload to the engine, or disposes of it
+// when the engine already delivered that xid, and reports which. Owns
+// payload.
+func (c *Comm) arriveEager(src int, tag comm.Tag, xid uint64, size int, hasData bool, payload []byte) bool {
 	msg := comm.Msg{Size: size}
 	if hasData {
 		if payload == nil {
-			payload = []byte{}
+			payload = []byte{} // zero-byte payload, not elided
 		}
 		msg.Data = payload
 		if len(msg.Data) != size {
@@ -406,36 +335,70 @@ func (t *fecTracker) onEager(src int, tag comm.Tag, xid uint64, size int, hasDat
 		}
 	} else if payload != nil {
 		comm.PutBuf(payload)
+		payload = nil
 	}
-	t.c.eng.Arrive(&progress.Env{Src: src, Tag: tag, Msg: msg, HasData: hasData, Xid: xid})
-	t.dispatch(src, acks, envs)
-}
-
-func groupHas(g *rxGroup, xid uint64) bool {
-	for _, m := range g.metas {
-		if m.xid == xid {
-			return true
-		}
+	if c.eng.Arrive(&progress.Env{Src: src, Tag: tag, Msg: msg, HasData: hasData, Xid: xid}) != progress.ArriveDuplicate {
+		return true
+	}
+	if c.inj != nil {
+		c.inj.NoteSuppressed()
+	}
+	if payload != nil {
+		comm.PutBuf(payload)
 	}
 	return false
+}
+
+// onEager delivers one CRC-clean eager frame under FEC and retains a
+// copy for the group machinery, unless the engine suppressed it as a
+// duplicate. Owns payload.
+func (t *fecTracker) onEager(src int, tag comm.Tag, xid uint64, size int, hasData bool, payload []byte) {
+	// Copy before delivery: the receiver owns payload from then on.
+	cp := []byte{}
+	if len(payload) > 0 {
+		cp = comm.GetBuf(len(payload))
+		copy(cp, payload)
+	}
+	if !t.c.arriveEager(src, tag, xid, size, hasData, payload) {
+		comm.PutBuf(cp)
+		return
+	}
+	t.mu.Lock()
+	t.recent[peerXid{src, xid}] = cp
+	// A parked group waiting on exactly this member (a delayed or resent
+	// copy arriving after its parity) may now be resolvable.
+	var w rxWork
+	for key, g := range t.groups {
+		if key.peer != src {
+			continue
+		}
+		for _, m := range g.metas {
+			if m.xid == xid {
+				t.evaluateLocked(src, key.xid, g, &w)
+				break
+			}
+		}
+	}
+	t.mu.Unlock()
+	t.dispatch(src, w)
 }
 
 // onParity registers one CRC-clean parity shard and greedily evaluates
 // its group. body (pooled) is the roster followed by the shard bytes.
 func (t *fecTracker) onParity(src int, gid uint64, k, m, idx int, body []byte) {
 	t.mu.Lock()
-	if t.done[src][gid] {
+	if t.done[src].Has(gid) {
 		t.mu.Unlock()
 		comm.PutBuf(body)
 		return
 	}
-	g := t.groups[src][gid]
+	g := t.groups[peerXid{src, gid}]
 	if g == nil {
-		g = &rxGroup{metas: make([]fecMeta, k), parity: make([][]byte, m), m: m}
+		g = &rxGroup{metas: make([]fecMeta, k), parity: make([][]byte, m)}
 		for i := 0; i < k; i++ {
 			g.metas[i] = parseFecMeta(body[i*fecMetaLen:])
 		}
-		t.groups[src][gid] = g
+		t.groups[peerXid{src, gid}] = g
 	}
 	if g.parity[idx] == nil {
 		shard := body[k*fecMetaLen:]
@@ -448,88 +411,59 @@ func (t *fecTracker) onParity(src int, gid uint64, k, m, idx int, body []byte) {
 		g.got++
 	}
 	comm.PutBuf(body)
-	acks, envs := t.evaluateLocked(src, gid, g, nil, nil)
+	var w rxWork
+	t.evaluateLocked(src, gid, g, &w)
 	t.mu.Unlock()
-	t.dispatch(src, acks, envs)
+	t.dispatch(src, w)
 }
 
 // evaluateLocked resolves a group if it can: all members present → ack;
-// erasures within arrived parity → reconstruct, deliver, ack. Appends
-// work for the caller to dispatch outside the lock.
-func (t *fecTracker) evaluateLocked(src int, gid uint64, g *rxGroup, acks []uint64, envs []*progress.Env) ([]uint64, []*progress.Env) {
-	var missing []int
+// erasures within arrived parity → reconstruct, deliver, ack. The
+// deliveries and the ack land in w, for the caller to dispatch outside
+// the lock.
+func (t *fecTracker) evaluateLocked(src int, gid uint64, g *rxGroup, w *rxWork) {
+	k := len(g.metas)
+	data, sizes := make([][]byte, k), make([]int, k)
+	missing := 0
 	for i, mt := range g.metas {
-		if _, ok := t.recent[src][mt.xid]; !ok {
-			missing = append(missing, i)
+		sizes[i] = mt.plen
+		if data[i] = t.recent[peerXid{src, mt.xid}]; data[i] == nil {
+			missing++
 		}
 	}
-	if len(missing) > len(g.parity) {
-		return acks, envs
+	// Short of parity: more may arrive, or the resend will.
+	if !fec.Recoverable(missing, g.got) ||
+		!t.c.fecStats.Repair(fec.Params{K: k, M: len(g.parity)}, data, g.parity, sizes) {
+		return
 	}
-	if len(missing) > 0 {
-		if g.got < len(missing) {
-			return acks, envs // not enough parity yet; more may arrive, or the resend will
-		}
-		k := len(g.metas)
-		data := make([][]byte, k)
-		sizes := make([]int, k)
-		for i, mt := range g.metas {
-			sizes[i] = mt.plen
-			if b, ok := t.recent[src][mt.xid]; ok {
-				data[i] = b
-			}
-		}
-		if err := fec.Reconstruct(fec.Params{K: k, M: g.m}, data, g.parity, sizes); err != nil {
-			return acks, envs
-		}
-		for _, i := range missing {
-			mt := g.metas[i]
-			if t.seen[src][mt.xid] {
-				if data[i] != nil {
-					comm.PutBuf(data[i])
-				}
-				continue
-			}
-			t.seen[src][mt.xid] = true
-			msg := comm.Msg{Size: mt.size}
-			if mt.hasData {
-				d := data[i]
-				if d == nil {
-					d = []byte{}
-				}
-				msg.Data = d
-				if len(msg.Data) != mt.size {
-					msg.Data = msg.Data[:mt.size]
-				}
-			} else if data[i] != nil {
-				comm.PutBuf(data[i])
-			}
-			envs = append(envs, &progress.Env{Src: src, Tag: mt.tag, Msg: msg,
-				HasData: mt.hasData, Xid: mt.xid})
-			t.reconstructed++
-			perf.RecordFecReconstructed()
+	for i, mt := range g.metas {
+		if _, ok := t.recent[peerXid{src, mt.xid}]; !ok {
+			w.segs = append(w.segs, rxSeg{mt, data[i]})
 		}
 	}
-	t.finishLocked(src, gid, g)
-	return append(acks, gid), envs
+	t.retireLocked(src, gid, g.metas)
+	w.acks = append(w.acks, gid)
 }
 
-// finishLocked retires a resolved group: evict retained member copies,
-// release parity, remember the gid so late shards are discarded.
-func (t *fecTracker) finishLocked(src int, gid uint64, g *rxGroup) {
-	for _, mt := range g.metas {
-		if b, ok := t.recent[src][mt.xid]; ok {
+// retireLocked forgets a resolved group: evict retained member copies,
+// release its parity, and remember the gid so late shards are discarded.
+func (t *fecTracker) retireLocked(src int, gid uint64, metas []fecMeta) {
+	for _, mt := range metas {
+		key := peerXid{src, mt.xid}
+		if b, ok := t.recent[key]; ok {
 			comm.PutBuf(b)
-			delete(t.recent[src], mt.xid)
+			delete(t.recent, key)
 		}
 	}
-	for _, p := range g.parity {
-		if p != nil {
-			comm.PutBuf(p)
+	if g := t.groups[peerXid{src, gid}]; g != nil {
+		for _, p := range g.parity {
+			if p != nil {
+				comm.PutBuf(p)
+			}
 		}
+		delete(t.groups, peerXid{src, gid})
 	}
-	delete(t.groups[src], gid)
-	t.done[src][gid] = true
+	t.done[src].Add(gid)
 }
 
 // onDead handles a sender's give-up tombstone: every member the
@@ -537,37 +471,23 @@ func (t *fecTracker) finishLocked(src int, gid uint64, g *rxGroup) {
 // structured timeout. roster is the frame's non-pooled meta block.
 func (t *fecTracker) onDead(src int, gid uint64, attempts int, roster []byte) {
 	t.mu.Lock()
-	if t.done[src][gid] {
+	if t.done[src].Has(gid) {
 		t.mu.Unlock()
 		return
 	}
 	var envs []*progress.Env
-	k := len(roster) / fecMetaLen
-	metas := make([]fecMeta, k)
-	for i := 0; i < k; i++ {
-		metas[i] = parseFecMeta(roster[i*fecMetaLen:])
-	}
-	for _, mt := range metas {
-		if t.seen[src][mt.xid] {
-			continue
-		}
-		t.seen[src][mt.xid] = true
-		envs = append(envs, &progress.Env{Src: src, Tag: mt.tag,
-			Msg: comm.Msg{Size: mt.size}, HasData: mt.hasData, Xid: mt.xid,
-			Err: &faults.TimeoutError{Rank: src, Peer: t.c.rank, Tag: mt.tag,
-				Attempts: attempts}})
-	}
-	if g := t.groups[src][gid]; g != nil {
-		t.finishLocked(src, gid, g)
-	} else {
-		t.done[src][gid] = true
-		for _, mt := range metas {
-			if b, ok := t.recent[src][mt.xid]; ok {
-				comm.PutBuf(b)
-				delete(t.recent[src], mt.xid)
-			}
+	metas := make([]fecMeta, len(roster)/fecMetaLen)
+	for i := range metas {
+		mt := parseFecMeta(roster[i*fecMetaLen:])
+		metas[i] = mt
+		if !t.c.eng.Delivered(src, mt.xid) {
+			envs = append(envs, &progress.Env{Src: src, Tag: mt.tag,
+				Msg: comm.Msg{Size: mt.size}, HasData: mt.hasData, Xid: mt.xid,
+				Err: &faults.TimeoutError{Rank: src, Peer: t.c.rank, Tag: mt.tag,
+					Attempts: attempts}})
 		}
 	}
+	t.retireLocked(src, gid, metas)
 	t.mu.Unlock()
 	for _, env := range envs {
 		t.c.eng.Arrive(env)
@@ -577,11 +497,11 @@ func (t *fecTracker) onDead(src int, gid uint64, attempts int, roster []byte) {
 // dispatch performs deferred deliveries and acks outside the tracker
 // lock (Arrive takes the engine lock; the ack draws an injector verdict
 // and enqueues on the scheduler).
-func (t *fecTracker) dispatch(src int, acks []uint64, envs []*progress.Env) {
-	for _, env := range envs {
-		t.c.eng.Arrive(env)
+func (t *fecTracker) dispatch(src int, w rxWork) {
+	for _, s := range w.segs {
+		t.c.arriveEager(src, s.meta.tag, s.meta.xid, s.meta.size, s.meta.hasData, s.data)
 	}
-	for _, gid := range acks {
+	for _, gid := range w.acks {
 		if t.c.inj != nil &&
 			t.c.inj.AckDrop(t.c.rank, src, comm.MakeTag(comm.KindFec, int(gid%uint64(comm.SeqWrap)), 0), gid, 0, t.c.Now()) {
 			continue // lost ack: the sender's timer will resend the group
@@ -605,18 +525,4 @@ func (c *Comm) FaultStats() faults.Stats {
 
 // FECStats returns this endpoint's FEC counters: parity and lost groups
 // from its sender half, reconstructions from its receiver half.
-func (c *Comm) FECStats() fec.Stats {
-	var s fec.Stats
-	if c.fecTx != nil {
-		c.fecTx.mu.Lock()
-		s.ParityEncoded = c.fecTx.encoded
-		s.GroupsLost = c.fecTx.lost
-		c.fecTx.mu.Unlock()
-	}
-	if c.fecRx != nil {
-		c.fecRx.mu.Lock()
-		s.Reconstructed = c.fecRx.reconstructed
-		c.fecRx.mu.Unlock()
-	}
-	return s
-}
+func (c *Comm) FECStats() fec.Stats { return c.fecStats.Stats() }

@@ -179,7 +179,7 @@ func TestNetFECExhaustedAttemptsFailStructured(t *testing.T) {
 }
 
 // Duplicated frames (dup verdicts and whole-group resends) must be
-// invisible: the per-sender xid set suppresses second copies.
+// invisible: the engine suppresses second copies by (src, xid).
 func TestNetFECDuplicatesSuppressed(t *testing.T) {
 	w := fecWorld(t, "seed=7; link 0->1: drop=0.2, dup=0.4", netRec(),
 		fec.Config{K: 4, M: 2})
@@ -242,5 +242,97 @@ func TestNetFECElidedPayloads(t *testing.T) {
 	})
 	if received != 20 {
 		t.Fatalf("received %d of 20", received)
+	}
+}
+
+// trackerHeld counts what rank c's FEC receiver still holds: retained
+// payload copies, groups waiting on parity, and resolved group ids kept
+// beyond the per-source watermark.
+func trackerHeld(c *Comm) (recent, groups, done int) {
+	t := c.fecRx
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for src := range t.done {
+		done += t.done[src].Span()
+	}
+	return len(t.recent), len(t.groups), done
+}
+
+// Receive dedup is exact and bounded on the socket transport too: over
+// 10k drop- and dup-faulted eager frames on one link, no duplicate
+// surfaces and the dedup state stays within the in-flight reorder span.
+// Once the link drains nothing is retained, and a late duplicate (or
+// late parity) of a resolved group leaves no copy behind.
+func TestNetDedupBoundedUnderDropDup(t *testing.T) {
+	const n, window = 10_000, 100
+	rec := faults.Recovery{RTO: 20 * time.Millisecond, MaxAttempts: 10}.Normalized()
+	w := fecWorld(t, "seed=7; link 0->1: drop=0.01, dup=0.05", rec, fec.Config{K: 4})
+	defer w.Close()
+	recv := w.Rank(1)
+	maxSpan := 0
+	w.Run(func(c *Comm) {
+		ack := comm.MakeTag(comm.KindP2P, 1, 0)
+		for base := 0; base < n; base += window {
+			switch c.Rank() {
+			case 0:
+				for i := base; i < base+window; i++ {
+					c.Send(1, ptag(i), comm.Bytes(netPayload(i)))
+				}
+				c.Recv(1, ack)
+			case 1:
+				for i := base; i < base+window; i++ {
+					st := c.Recv(0, ptag(i))
+					if st.Err != nil || !bytes.Equal(st.Msg.Data, netPayload(i)) {
+						t.Errorf("segment %d: err=%v, bytes differ", i, st.Err)
+					}
+					if s := c.eng.DedupSpan(); s > maxSpan {
+						maxSpan = s
+					}
+				}
+				c.Send(0, ack, comm.Msg{})
+			}
+		}
+	})
+	if maxSpan > window {
+		t.Errorf("dedup state held %d xids beyond the watermark, want at most the %d in flight", maxSpan, window)
+	}
+	// The last group resolves once its parity lands (idle flush + wire),
+	// and the sender stops resending once every ack is in.
+	unacked := func() int {
+		f := w.Rank(0).fecTx
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		return len(f.sent)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		r, g, d := trackerHeld(recv)
+		if r == 0 && g == 0 && d == 0 && recv.eng.DedupSpan() == 0 && unacked() == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("drained link still holds %d copies, %d open groups, %d resolved gids, %d xids",
+				r, g, d, recv.eng.DedupSpan())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	st := w.FaultStats()
+	if st.Drops == 0 || st.Dups == 0 || st.Suppressed == 0 {
+		t.Fatalf("plan exercised too little: %+v", st)
+	}
+	// Replay the first frame and the first group's parity, both long
+	// resolved.
+	recv.fecRx.onEager(0, ptag(0), 1, len(netPayload(0)), true, netPayload(0))
+	meta := appendFecMeta(nil, fecMeta{tag: ptag(0), xid: 1, size: 56, plen: 56, hasData: true})
+	body := append(meta, make([]byte, 56)...)
+	recv.fecRx.onParity(0, 1, 1, 1, 0, body)
+	if r, g, d := trackerHeld(recv); r != 0 || g != 0 || d != 0 {
+		t.Fatalf("late copies left %d payloads, %d groups, %d gids behind", r, g, d)
+	}
+	if got := w.FaultStats().Suppressed; got != st.Suppressed+1 {
+		t.Fatalf("late duplicate not suppressed: suppressed %d -> %d", st.Suppressed, got)
+	}
+	if _, _, unexpected := recv.eng.Snapshot(); len(unexpected) != 0 {
+		t.Fatalf("%d duplicate copies surfaced at the receiver", len(unexpected))
 	}
 }

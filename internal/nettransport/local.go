@@ -90,7 +90,7 @@ func (w *LocalWorld) Run(body func(c *Comm)) {
 	panics := make(chan string, len(w.comms))
 	for _, c := range w.comms {
 		c := c
-		if c.deadSelf {
+		if c.det.Dead(c.rank) {
 			continue
 		}
 		wg.Add(1)
@@ -189,7 +189,7 @@ func (w *LocalWorld) FECStats() fec.Stats {
 func (w *LocalWorld) Crashed() []bool {
 	out := make([]bool, len(w.comms))
 	for r, c := range w.comms {
-		out[r] = c.deadSelf
+		out[r] = c.det.Dead(r)
 	}
 	return out
 }
@@ -202,7 +202,7 @@ func (w *LocalWorld) Close() {
 	}
 	w.closed = true
 	for _, c := range w.comms {
-		if c != nil && !c.deadSelf {
+		if c != nil && !c.det.Dead(c.rank) {
 			c.Close()
 		}
 	}

@@ -162,11 +162,18 @@ func WithFEC(cfg fec.Config) Option {
 	return func(c *config) { c.fecCfg = cfg.Normalized() }
 }
 
+// peerXid names a transfer (or an FEC group) by its peer and its
+// per-link id: ids are numbered per link, so the peer's rank is part of
+// the key.
+type peerXid struct {
+	peer int
+	xid  uint64
+}
+
 // rdvPull is a matched rendezvous receive parked until the payload frame
 // arrives (or the sender's death fails it).
 type rdvPull struct {
 	req     *progress.Req
-	src     int
 	tag     comm.Tag
 	size    int
 	hasData bool
@@ -188,25 +195,25 @@ type Comm struct {
 	// mu guards the wire-protocol state below. Lock order: c.mu may be
 	// held around engine calls (substrate lock → engine lock), never the
 	// reverse.
-	mu        sync.Mutex
-	sendPend  map[uint64]*progress.Req // xid → rendezvous send awaiting CTS
-	pulls     map[uint64]*rdvPull      // xid → matched recv awaiting DATA
-	peerDown  []bool                   // connection lost (death suspected)
-	confirmed []bool                   // detector-confirmed deaths
-	lostAt    []int64                  // metrics.Clock() at loss observation (telemetry)
-	closed    bool                     // clean shutdown begun; losses are expected
+	mu       sync.Mutex
+	sendPend map[peerXid]*progress.Req // (dst, xid) → rendezvous send awaiting CTS
+	pulls    map[peerXid]*rdvPull      // (src, xid) → matched recv awaiting DATA
+	lostAt   []int64                   // metrics.Clock() at loss observation (telemetry)
+	closed   bool                      // clean shutdown begun; losses are expected
 
-	xidNext uint64 // owner-goroutine only
+	// xidNext[dst] is the last xid sent to dst: xids are dense per link,
+	// which is what lets the receiver's dedup stay bounded.
+	// Owner-goroutine only.
+	xidNext []uint64
+
+	// Crash schedule, lost peers and confirmed deaths (detector.go).
+	det *faults.Detector
 
 	// Chaos + FEC (nil without WithChaos/WithFEC; see fec.go).
-	inj   *faults.Injector
-	fecTx *fecSender
-	fecRx *fecTracker
-
-	// Fail-stop self-crash schedule (owner-goroutine only).
-	crashAfter int // send initiations before this rank dies; -1 = never
-	sendsSeen  int
-	deadSelf   bool
+	inj      *faults.Injector
+	fecTx    *fecSender
+	fecRx    *fecTracker
+	fecStats fec.Counters
 
 	wake chan struct{}
 }
@@ -221,15 +228,14 @@ var (
 func newComm(rank, size int, ln net.Listener, cfg config) *Comm {
 	c := &Comm{
 		rank: rank, size: size, cfg: cfg, ln: ln,
-		conns:      make([]*connState, size),
-		sendPend:   make(map[uint64]*progress.Req),
-		pulls:      make(map[uint64]*rdvPull),
-		peerDown:   make([]bool, size),
-		confirmed:  make([]bool, size),
-		lostAt:     make([]int64, size),
-		crashAfter: -1,
-		wake:       make(chan struct{}, 1),
+		conns:    make([]*connState, size),
+		sendPend: make(map[peerXid]*progress.Req),
+		pulls:    make(map[peerXid]*rdvPull),
+		lostAt:   make([]int64, size),
+		xidNext:  make([]uint64, size),
+		wake:     make(chan struct{}, 1),
 	}
+	c.det = c.newDetector()
 	c.eng = progress.New(progress.Backend{
 		Prefix:  "nettransport",
 		Rank:    rank,
@@ -238,15 +244,10 @@ func newComm(rank, size int, ln net.Listener, cfg config) *Comm {
 		Wake:    c.signal,
 		Block:   func() { <-c.wake },
 		OnMatch: c.onMatch,
+		// Dup verdicts and whole-group resends deliver some eager frames
+		// twice; the engine suppresses them by (src, per-link xid).
+		DedupXids: cfg.chaosOn || cfg.fecCfg.Enabled(),
 	})
-	for _, cr := range cfg.crashPlan {
-		if cr.Rank == rank {
-			c.crashAfter = cr.AfterSends
-		}
-		if cr.Rank >= size {
-			panic(fmt.Sprintf("nettransport: crash rule for rank %d in a %d-rank world", cr.Rank, size))
-		}
-	}
 	if cfg.chaosOn {
 		// Every endpoint builds its own injector from the shared plan:
 		// verdicts are keyed by message identity, so the streams agree
@@ -256,9 +257,7 @@ func newComm(rank, size int, ln net.Listener, cfg config) *Comm {
 	}
 	if cfg.fecCfg.Enabled() {
 		c.fecTx = newFecSender(c)
-	}
-	if cfg.fecCfg.Enabled() || c.inj != nil {
-		c.fecRx = newFecTracker(c, cfg.fecCfg.Enabled())
+		c.fecRx = newFecTracker(c)
 	}
 	return c
 }
@@ -313,8 +312,8 @@ func (c *Comm) Isend(dst int, tag comm.Tag, msg comm.Msg) comm.Request {
 	if dst == c.rank {
 		panic("nettransport: self-send (collectives never send to self)")
 	}
-	c.xidNext++
-	xid := c.xidNext
+	c.xidNext[dst]++
+	xid := c.xidNext[dst]
 	if msg.Size <= c.cfg.eagerLimit {
 		// Eager: snapshot the payload (the sender may reuse its buffer as
 		// soon as we return) into a pooled buffer the scheduler releases
@@ -351,7 +350,7 @@ func (c *Comm) Isend(dst int, tag comm.Tag, msg comm.Msg) comm.Request {
 	req.Xid = xid
 	req.Tag = tag
 	c.mu.Lock()
-	if c.confirmed[dst] {
+	if c.det.Confirmed(dst) {
 		// The detector already declared the peer dead: fail fast with the
 		// same structured error an exhausted retry chain produces.
 		c.mu.Unlock()
@@ -359,7 +358,7 @@ func (c *Comm) Isend(dst int, tag comm.Tag, msg comm.Msg) comm.Request {
 			Err: &faults.TimeoutError{Rank: c.rank, Peer: dst, Tag: tag, Attempts: 1}})
 		return req
 	}
-	c.sendPend[xid] = req
+	c.sendPend[peerXid{dst, xid}] = req
 	c.mu.Unlock()
 	hdr := encodeEagerHdr(frameRTS, tag, xid, msg.Size, 0, msg.Data != nil, 0)
 	c.sched.enqueue(dst, outFrame{hdr: hdr})
@@ -386,13 +385,14 @@ func (c *Comm) onMatch(req *progress.Req, env *progress.Env, wasUnexpected bool)
 		req.Complete(comm.Status{Source: env.Src, Tag: env.Tag, Msg: env.Msg})
 		return
 	}
+	key := peerXid{env.Src, env.Xid}
 	c.mu.Lock()
-	c.pulls[env.Xid] = &rdvPull{req: req, src: env.Src, tag: env.Tag,
+	c.pulls[key] = &rdvPull{req: req, tag: env.Tag,
 		size: env.Msg.Size, hasData: env.HasData}
-	if c.confirmed[env.Src] || c.peerDown[env.Src] {
+	if c.det.Dead(env.Src) {
 		// The sender is already gone; the grant would go nowhere. Fail the
 		// receive through the same path its death notice would take.
-		c.failPullLocked(env.Xid)
+		c.failPullLocked(key)
 		c.mu.Unlock()
 		return
 	}
@@ -405,26 +405,27 @@ func (c *Comm) onMatch(req *progress.Req, env *progress.Env, wasUnexpected bool)
 
 // failPullLocked fails a parked rendezvous receive whose sender died;
 // c.mu is held (completion takes the engine lock underneath it).
-func (c *Comm) failPullLocked(xid uint64) {
-	pl := c.pulls[xid]
+func (c *Comm) failPullLocked(key peerXid) {
+	pl := c.pulls[key]
 	if pl == nil {
 		return
 	}
-	delete(c.pulls, xid)
-	pl.req.Complete(comm.Status{Source: pl.src, Tag: pl.tag,
-		Err: &faults.TimeoutError{Rank: c.rank, Peer: pl.src, Tag: pl.tag, Attempts: 1}})
+	delete(c.pulls, key)
+	pl.req.Complete(comm.Status{Source: key.peer, Tag: pl.tag,
+		Err: &faults.TimeoutError{Rank: c.rank, Peer: key.peer, Tag: pl.tag, Attempts: 1}})
 }
 
 // onCTS resolves a clear-to-send grant: stream the payload. Runs on the
 // I/O loop goroutine.
 func (c *Comm) onCTS(src int, xid uint64) {
+	key := peerXid{src, xid}
 	c.mu.Lock()
-	req := c.sendPend[xid]
+	req := c.sendPend[key]
 	if req == nil {
 		c.mu.Unlock()
 		return // the send was already failed by the detector
 	}
-	delete(c.sendPend, xid)
+	delete(c.sendPend, key)
 	c.mu.Unlock()
 	var payload []byte
 	if req.Msg.Data != nil {
@@ -445,8 +446,9 @@ func (c *Comm) onCTS(src int, xid uint64) {
 // goroutine; the payload buffer is pooled and owned by the receiver from
 // here on.
 func (c *Comm) onData(src int, xid uint64, payload []byte) {
+	key := peerXid{src, xid}
 	c.mu.Lock()
-	pl := c.pulls[xid]
+	pl := c.pulls[key]
 	if pl == nil {
 		c.mu.Unlock()
 		if payload != nil {
@@ -454,7 +456,7 @@ func (c *Comm) onData(src int, xid uint64, payload []byte) {
 		}
 		return
 	}
-	delete(c.pulls, xid)
+	delete(c.pulls, key)
 	c.mu.Unlock()
 	msg := comm.Msg{Size: pl.size}
 	if pl.hasData {
@@ -465,7 +467,7 @@ func (c *Comm) onData(src int, xid uint64, payload []byte) {
 	} else if payload != nil {
 		comm.PutBuf(payload)
 	}
-	pl.req.Complete(comm.Status{Source: pl.src, Tag: pl.tag, Msg: msg})
+	pl.req.Complete(comm.Status{Source: src, Tag: pl.tag, Msg: msg})
 }
 
 // Send performs a blocking send: for rendezvous-size messages it returns

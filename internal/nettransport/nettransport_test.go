@@ -106,6 +106,34 @@ func TestRendezvousSendRecv(t *testing.T) {
 	})
 }
 
+// TestRendezvousTwoSenders has two ranks start a rendezvous transfer into
+// the same receiver as their first send, so both announcements carry the
+// first xid of their own link. The receiver must pair each payload with
+// its own sender's receive.
+func TestRendezvousTwoSenders(t *testing.T) {
+	w := newTestWorld(t, 3).WithRunTimeout(5 * time.Second)
+	tag := comm.MakeTag(comm.KindP2P, 2, 0)
+	defer func() {
+		if p := recover(); p != nil {
+			t.Fatalf("two rendezvous senders into one rank: %v", p)
+		}
+	}()
+	w.Run(func(c *Comm) {
+		if c.Rank() != 0 {
+			c.Send(0, tag, comm.Bytes(fill(4*DefaultEagerLimit, byte(c.Rank()))))
+			return
+		}
+		reqs := []comm.Request{c.Irecv(1, tag), c.Irecv(2, tag)}
+		c.WaitAll(reqs)
+		for i, r := range reqs {
+			st, _ := r.Test()
+			if st.Err != nil || !bytes.Equal(st.Msg.Data, fill(4*DefaultEagerLimit, byte(1+i))) {
+				t.Errorf("payload from rank %d: err=%v, bytes differ", 1+i, st.Err)
+			}
+		}
+	})
+}
+
 // TestEagerBoundary sends exactly DefaultEagerLimit bytes (the largest
 // eager message) and one byte more (the smallest rendezvous message):
 // both must arrive intact, whichever protocol carries them.

@@ -359,20 +359,7 @@ func (c *Comm) finishFrame(cs *connState) error {
 			c.fecRx.onEager(cs.rank, cs.tag, cs.xid, cs.msize, cs.hasData, payload)
 			return nil
 		}
-		msg := comm.Msg{Size: cs.msize}
-		if cs.hasData {
-			if payload == nil {
-				payload = []byte{} // zero-byte payload, not elided
-			}
-			msg.Data = payload
-			if len(msg.Data) != cs.msize {
-				msg.Data = msg.Data[:cs.msize]
-			}
-		} else if payload != nil {
-			comm.PutBuf(payload)
-		}
-		c.eng.Arrive(&progress.Env{Src: cs.rank, Tag: cs.tag, Msg: msg,
-			HasData: cs.hasData, Xid: cs.xid})
+		c.arriveEager(cs.rank, cs.tag, cs.xid, cs.msize, cs.hasData, payload)
 	case frameRTS:
 		c.eng.Arrive(&progress.Env{Src: cs.rank, Tag: cs.tag,
 			Msg: comm.Msg{Size: cs.msize}, Rdv: true, HasData: cs.hasData, Xid: cs.xid})
@@ -385,7 +372,7 @@ func (c *Comm) finishFrame(cs *connState) error {
 		for i, v := range payload {
 			survivors[i] = v != 0
 		}
-		c.pushNotice(comm.Notice{Kind: comm.NoticeCommit, Seq: cs.seq, Survivors: survivors})
+		c.eng.PushNotice(comm.Notice{Kind: comm.NoticeCommit, Seq: cs.seq, Survivors: survivors})
 	case frameFecParity:
 		if c.fecRx == nil || crc32.ChecksumIEEE(payload) != cs.crc {
 			// No FEC armed here, or the parity itself arrived damaged: a
@@ -401,7 +388,7 @@ func (c *Comm) finishFrame(cs *connState) error {
 		c.fecRx.onParity(cs.rank, cs.gid, cs.gk, cs.gm, cs.gidx, payload)
 	case frameFecAck:
 		if c.fecTx != nil {
-			c.fecTx.onAck(cs.gid)
+			c.fecTx.onAck(cs.rank, cs.gid)
 		}
 	case frameFecDead:
 		if c.fecRx != nil {

@@ -21,9 +21,11 @@ import (
 //	fecack  u64 gid                                   — receiver: group fully delivered
 //	fecdead u64 gid, u32 attempts, u8 k, k×meta       — sender gave the group up
 //
-// The xid is a sender-local transfer id: it pairs a data frame (or grant)
-// with the announcement that created it, bypassing tag matching for the
-// second half of a rendezvous. flags bit 0 records whether the message
+// The xid numbers a sender's eager and rts frames per destination (1, 2,
+// 3, ...): it pairs a data frame (or grant) with the announcement that
+// created it, bypassing tag matching for the second half of a
+// rendezvous, and keys the receiver's duplicate suppression. The gid of
+// the fec frames likewise numbers a sender's groups per destination. flags bit 0 records whether the message
 // carries real bytes — a payload-elided comm.Msg travels as a zero-byte
 // payload with the logical size in the header, and must come back out as
 // an elided Msg on the receiver.

@@ -124,8 +124,8 @@ func RecordFaultCorrupt() { faultCorrupts.Add(1) }
 // RecordFecEncoded counts m parity shards encoded for one group.
 func RecordFecEncoded(m int) { fecEncoded.Add(uint64(m)) }
 
-// RecordFecReconstructed counts one data segment rebuilt from parity.
-func RecordFecReconstructed() { fecReconstructed.Add(1) }
+// RecordFecReconstructed counts n data segments rebuilt from parity.
+func RecordFecReconstructed(n int) { fecReconstructed.Add(uint64(n)) }
 
 // RecordFecGroupLost counts one group whose erasures exceeded its
 // parity — recovery falls back to the ARQ retransmit path.

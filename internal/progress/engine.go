@@ -58,8 +58,9 @@ type Env struct {
 	// payload-elided comm.Msg travels with only its logical size).
 	HasData bool
 
-	// Xid is the transmission id: duplicate-delivery suppression when the
-	// Backend enables dedup, grant/data pairing on the wire.
+	// Xid is the transmission id, numbered per link: duplicate-delivery
+	// suppression on (Src, Xid) when the Backend enables dedup,
+	// grant/data pairing on the wire.
 	Xid uint64
 
 	// Seq is the arrival order stamped by Arrive, for deterministic
@@ -145,7 +146,8 @@ const (
 	// ArriveParked: no posted receive matched; the envelope sits in the
 	// unexpected queue.
 	ArriveParked
-	// ArriveDuplicate: an envelope with this Xid was already delivered.
+	// ArriveDuplicate: an envelope with this (Src, Xid) was already
+	// delivered.
 	ArriveDuplicate
 	// ArriveHalted: this endpoint crashed (fail-stop); the envelope was
 	// not enqueued.
@@ -183,10 +185,9 @@ type Backend struct {
 	// immediately). Otherwise the context advances when the owner
 	// observes the completion — a fired callback or a returning Wait.
 	CauseOnComplete bool
-	// DedupXids enables receiver-side duplicate suppression for nonzero
-	// envelope Xids (the live runtime's chaos transport). The TCP
-	// transport leaves this off: its stream never duplicates, and its
-	// Xids pair rendezvous frames instead.
+	// DedupXids enables receiver-side duplicate suppression on (Src, Xid)
+	// for nonzero envelope Xids, which must then be dense per link (see
+	// dedup.go). The live substrates turn it on under a fault plan.
 	DedupXids bool
 }
 
@@ -203,8 +204,8 @@ type Engine struct {
 	completedCount uint64
 	pendingOps     int
 	arrivalSeq     uint64
-	seen           map[uint64]struct{} // delivered xids (DedupXids)
-	halted         bool                // fail-stop: this endpoint crashed
+	seen           []XidSet // per source: delivered xids (DedupXids; dedup.go)
+	halted         bool     // fail-stop: this endpoint crashed
 
 	// Control-plane notice queue (comm.FailStop).
 	notices   []comm.Notice
@@ -364,15 +365,9 @@ func (e *Engine) Arrive(env *Env) ArriveResult {
 		e.mu.Unlock()
 		return ArriveHalted
 	}
-	if e.b.DedupXids && env.Xid != 0 {
-		if _, dup := e.seen[env.Xid]; dup {
-			e.mu.Unlock()
-			return ArriveDuplicate
-		}
-		if e.seen == nil {
-			e.seen = make(map[uint64]struct{})
-		}
-		e.seen[env.Xid] = struct{}{}
+	if e.b.DedupXids && env.Xid != 0 && !e.seenLocked(env.Src).Add(env.Xid) {
+		e.mu.Unlock()
+		return ArriveDuplicate
 	}
 	e.arrivalSeq++
 	env.Seq = e.arrivalSeq

@@ -15,7 +15,8 @@ import (
 //
 //   - an accepted envelope is matched EXACTLY once — never zero times
 //     (lost message), never twice (double delivery);
-//   - with DedupXids, a replayed transmission id is always suppressed;
+//   - with DedupXids, a replayed (source, transmission id) pair is
+//     always suppressed;
 //   - the unexpected queue fully drains once enough wildcard receives
 //     are posted — nothing parks forever;
 //   - after the drain and cancellations, no operations remain in flight.
@@ -61,6 +62,7 @@ func FuzzMatch(f *testing.F) {
 		var recvs []*Req   // every posted receive
 		var arrived []*Env // envelopes the engine accepted (not suppressed)
 		var xid uint64
+		var srcOf []int // srcOf[x-1] is the source that sent xid x
 
 		for i := 0; i+2 < len(script); i += 3 {
 			op, a, b := script[i], script[i+1], script[i+2]
@@ -77,6 +79,7 @@ func FuzzMatch(f *testing.F) {
 				recvs = append(recvs, eng.PostRecv(comm.AnySource, tg, comm.MemDefault))
 			case 2: // eager arrival, fresh transmission id
 				xid++
+				srcOf = append(srcOf, src)
 				env := &Env{Src: src, Tag: tag, Msg: comm.Msg{Size: 16}, Xid: xid}
 				switch eng.Arrive(env) {
 				case ArriveMatched:
@@ -91,6 +94,7 @@ func FuzzMatch(f *testing.F) {
 				}
 			case 3: // rendezvous arrival carrying its sender's request
 				xid++
+				srcOf = append(srcOf, src)
 				send := eng.StartSend(0, tag, 1<<20)
 				env := &Env{Src: src, Tag: tag, Msg: comm.Msg{Size: 1 << 20},
 					Rts: send, Rdv: true, Xid: xid}
@@ -102,12 +106,12 @@ func FuzzMatch(f *testing.F) {
 				} else {
 					t.Fatal("fresh rendezvous neither matched nor parked")
 				}
-			case 4: // duplicate: replay an already-used transmission id
+			case 4: // duplicate: replay an already-used (source, transmission id)
 				if xid == 0 {
 					continue
 				}
 				old := uint64(a)%xid + 1
-				env := &Env{Src: src, Tag: tag, Msg: comm.Msg{Size: 16}, Xid: old}
+				env := &Env{Src: srcOf[old-1], Tag: tag, Msg: comm.Msg{Size: 16}, Xid: old}
 				res := eng.Arrive(env)
 				if dedup {
 					if res != ArriveDuplicate {

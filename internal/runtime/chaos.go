@@ -36,9 +36,10 @@ import (
 // tag, per-link seq) — so a fixed plan seed yields the same
 // drops/dups/losses regardless of goroutine interleaving; wall-clock
 // arrival order of near-simultaneous copies is the only nondeterminism,
-// and dedup makes it invisible to receivers. The world-unique xid each
-// envelope carries serves dedup only: it is drawn from one counter that
-// all senders share, so its values follow goroutine scheduling.
+// and dedup makes it invisible to receivers. The xid each envelope
+// carries is that per-link seq, so the receiver's dedup (keyed on
+// (src, xid)) stays exact and bounded; a message lost for good is
+// retired there so the watermark moves past it.
 
 // WithFaults installs a fault plan and the ack/retry tuning used to
 // recover from it (zero Recovery fields take defaults).
@@ -71,13 +72,13 @@ func (w *World) Failures() []*faults.TimeoutError {
 // sender's goroutine; delayed copies hop to timer goroutines.
 func (c *Comm) chaosDeliver(d *Comm, env *progress.Env, size int) {
 	w := c.w
-	env.Xid = w.xmitSeq.Add(1)
-	vid := linkMsgID(c.rank, d.rank, c.linkSeq[d.rank].Add(1))
+	env.Xid = c.linkSeq[d.rank].Add(1)
+	vid := linkMsgID(c.rank, d.rank, env.Xid)
 	if w.fec != nil && env.Rts == nil {
 		// Eager segments route through the FEC framer (fec.go): a lost
 		// first attempt waits for its group's parity before falling back
 		// to the retry walk below.
-		w.fec.send(c, d, env, size, vid)
+		c.sendFEC(d, env, size, vid)
 		return
 	}
 	c.chaosWalk(d, env, size, vid, 0, 0)
@@ -113,18 +114,7 @@ func (c *Comm) chaosWalk(d *Comm, env *progress.Env, size int, vid uint64, start
 			}
 			continue
 		}
-		if v.Dup {
-			// The duplicate gets its own payload buffer (eager payloads are
-			// pooled and freed independently) and trails the original.
-			dup := *env
-			if dup.Rts == nil && dup.Msg.Data != nil {
-				buf := comm.GetBuf(len(dup.Msg.Data))
-				copy(buf, dup.Msg.Data)
-				dup.Msg.Data = buf
-			}
-			deliverAfter(d, &dup, wait+v.Extra+w.rec.RTO/2)
-		}
-		deliverAfter(d, env, wait+v.Extra)
+		c.land(d, env, v, wait)
 		return
 	}
 	// Every attempt dropped: the message is lost for good.
@@ -137,6 +127,8 @@ func (c *Comm) chaosWalk(d *Comm, env *progress.Env, size int, vid uint64, start
 	w.failMu.Lock()
 	w.failures = append(w.failures, err)
 	w.failMu.Unlock()
+	// Keep the receiver's dedup watermark moving past the lost xid.
+	d.eng.Retire(c.rank, env.Xid)
 	if env.Rts != nil {
 		env.Rts.Complete(comm.Status{Source: c.rank, Tag: env.Tag, Err: err})
 		return
@@ -152,6 +144,23 @@ func (c *Comm) traceFault(kind trace.Kind, peer int, tag comm.Tag, size int, xid
 		tb.Add(trace.Record{At: c.Now(), Rank: c.rank, Kind: kind,
 			Peer: peer, Tag: tag, Size: size, Xid: xid})
 	}
+}
+
+// land delivers env's surviving copy after wait plus the verdict's
+// extra delay. Under a dup verdict a second copy, with its own payload
+// buffer (eager payloads are pooled and freed independently), trails the
+// original.
+func (c *Comm) land(d *Comm, env *progress.Env, v faults.Verdict, wait time.Duration) {
+	if v.Dup {
+		dup := *env
+		if dup.Rts == nil && dup.Msg.Data != nil {
+			buf := comm.GetBuf(len(dup.Msg.Data))
+			copy(buf, dup.Msg.Data)
+			dup.Msg.Data = buf
+		}
+		deliverAfter(d, &dup, wait+v.Extra+c.w.rec.RTO/2)
+	}
+	deliverAfter(d, env, wait+v.Extra)
 }
 
 // deliverAfter lands env on d now or after a wall-clock delay.

@@ -48,21 +48,20 @@ type World struct {
 	Trace *trace.Buffer
 
 	// Fault injection (nil inj = fault-free fast paths; see chaos.go).
-	inj     *faults.Injector
-	rec     faults.Recovery
-	xmitSeq atomic.Uint64
+	inj *faults.Injector
+	rec faults.Recovery
 
 	// Erasure coding over the eager segment stream (nil = off; see fec.go).
-	fec    *fecCtl
-	fecCfg fec.Config
+	fec      *fec.Framer[*fecMember]
+	fecCfg   fec.Config
+	fecStats fec.Counters
 
 	failMu   sync.Mutex
 	failures []*faults.TimeoutError
 
 	// Fail-stop crash model (nil crash = no rules armed; see crash.go).
 	crashPlan     []faults.Crash
-	crashMu       sync.Mutex
-	crash         *crashCtl
+	crash         *faults.Detector
 	watchdogFired atomic.Bool
 }
 
@@ -96,7 +95,7 @@ func NewWorld(n int, opts ...Option) *World {
 		o(w)
 	}
 	if w.fecCfg.Enabled() && w.inj != nil {
-		w.fec = newFecCtl(w)
+		w.armFEC()
 	}
 	for r := 0; r < n; r++ {
 		c := &Comm{w: w, rank: r, wake: make(chan struct{}, 1)}
@@ -112,8 +111,8 @@ func NewWorld(n int, opts ...Option) *World {
 			Block:   func() { <-c.wake },
 			OnMatch: c.onMatch,
 			// Chaos duplicates are real second copies racing through
-			// deliver; the engine suppresses them by transmission id.
-			DedupXids: true,
+			// deliver; the engine suppresses them by (src, per-link seq).
+			DedupXids: w.inj != nil,
 		})
 		w.ranks = append(w.ranks, c)
 	}
@@ -192,7 +191,7 @@ type Comm struct {
 
 	// linkSeq counts this rank's transmissions per destination under a
 	// fault plan: the (src, dst, per-link seq) identity that fault
-	// verdicts are keyed on (see chaosDeliver).
+	// verdicts are keyed on and receivers dedup on (see chaosDeliver).
 	linkSeq []atomic.Uint64
 }
 
@@ -279,7 +278,7 @@ func (c *Comm) Irecv(src int, tag comm.Tag) comm.Request {
 // deliver hands an incoming envelope to the matching engine. Runs on the
 // sender's goroutine (or a timer goroutine for fault-delayed copies).
 func (c *Comm) deliver(env *progress.Env) {
-	if c.w.crash != nil && c.w.rankDead(env.Src) {
+	if c.w.crash.Dead(env.Src) {
 		// Annihilation: a copy in flight from a crashed rank vanishes at
 		// arrival (timer-delayed chaos copies can outlive their sender).
 		c.annihilate(env)

@@ -61,7 +61,7 @@ type xmit struct {
 // is group control traffic and is not subject to per-message ack-loss
 // verdicts; the per-attempt ack path keeps its own loss draws.
 func (x *xmit) repair(deliver func()) {
-	if x.st.failed || x.w.deadRank(x.src) || x.w.deadRank(x.dst) {
+	if x.st.failed || x.w.crash.Dead(x.src) || x.w.crash.Dead(x.dst) {
 		return
 	}
 	if x.st.delivered {
@@ -105,7 +105,7 @@ func (c *Comm) chaosSend(dst int, tag comm.Tag, size int,
 
 	var try func()
 	try = func() {
-		if w.deadRank(c.rank) {
+		if w.crash.Dead(c.rank) {
 			// The sender crashed: its retry chain is abandoned silently
 			// (fail-stop teardown, nobody is waiting on this request).
 			return
@@ -121,7 +121,7 @@ func (c *Comm) chaosSend(dst int, tag comm.Tag, size int,
 		}
 		send := func(extra time.Duration, corrupt bool) {
 			transmit(extra, func() {
-				if w.deadRank(c.rank) || w.deadRank(dst) {
+				if w.crash.Dead(c.rank) || w.crash.Dead(dst) {
 					// Annihilation: a copy in flight from or to a crashed
 					// rank vanishes at arrival — no delivery, no ack. The
 					// sender (if alive) keeps retrying into its timeout
@@ -167,10 +167,10 @@ func (c *Comm) chaosSend(dst int, tag comm.Tag, size int,
 			if st.acked || st.failed {
 				return
 			}
-			if w.deadRank(c.rank) {
+			if w.crash.Dead(c.rank) {
 				return // dead sender: abandoned, not failed
 			}
-			if w.confirmedDead(dst) {
+			if w.crash.Confirmed(dst) {
 				// Fast-fail: the detector confirmed the peer dead, so
 				// further retries cannot succeed — fail the operation now
 				// with the attempts spent so far.
@@ -239,13 +239,7 @@ func (c *Comm) chaosEager(d *Comm, req *progress.Req, tag comm.Tag, msg comm.Msg
 			retained = nil
 		}
 	}
-	// When FEC is armed the framer shadows this transmission: it keeps its
-	// own shard copy and, if the wire copy is lost but the group's parity
-	// survives, re-delivers the reconstructed payload through mem.repair.
-	var mem *fecMember
-	if c.w.fec != nil && tag.Kind() != comm.KindFec {
-		mem = c.w.fec.newMember(c, d, tag, msg, req.PostID, retained)
-	}
+	var mem *fecMember // the transmission's FEC shadow, if any (below)
 	x := c.chaosSend(d.rank, tag, msg.Size,
 		func(extra time.Duration, arrive func()) {
 			c.w.K.Schedule(extra, func() {
@@ -276,8 +270,11 @@ func (c *Comm) chaosEager(d *Comm, req *progress.Req, tag comm.Tag, msg comm.Msg
 			fst.Err = err
 			req.CompleteIfLive(fst)
 		})
-	if mem != nil {
-		c.w.fec.enroll(mem, x)
+	// When FEC is armed the framer shadows this transmission: it keeps its
+	// own shard copy and, if the wire copy is lost but the group's parity
+	// survives, re-delivers the reconstructed payload through x.repair.
+	if c.w.fec != nil && tag.Kind() != comm.KindFec {
+		mem = c.w.enrollFEC(x, d, tag, msg, req.PostID, retained)
 	}
 }
 

@@ -1,127 +1,69 @@
 package simmpi
 
 import (
-	"fmt"
-
 	"adapt/internal/comm"
 	"adapt/internal/faults"
-	"adapt/internal/perf"
 	"adapt/internal/sim"
 	"adapt/internal/trace"
 )
 
-// Fail-stop crash model on the simulated substrate.
-//
-// A crash@rank[:afterK] rule kills the rank at the instant it initiates
-// its (K+1)-th send (Isend, Ssend, or a Commit fan-out): the proc
-// unwinds via sim.ErrKilled and retires, its unexpected queue is swept
-// so live rendezvous senders parked there fail with a TimeoutError
-// instead of hanging, and from that instant the rank's traffic is
-// annihilated — copies in flight from it vanish at arrival, copies sent
-// to it are swallowed (no delivery, no ack), so their senders' retry
-// chains run into the timeout budget or, once the death is confirmed,
-// fail fast.
-//
-// Failure detection is a world-level lease: the detector suspects the
-// rank SuspectAfter past the crash (counter only) and confirms it at
-// ConfirmAfter, at which point one tree-repair is counted and every
-// surviving rank gets a NoticeDeath on its control-plane queue. Both
-// events ride the deterministic kernel, so the same seed reproduces the
-// same detection schedule at any -j.
-
-// crashCtl is the world's crash schedule and detector state. The kernel
-// is single-threaded, so plain fields suffice.
-type crashCtl struct {
-	after     map[int]int // rank → send initiations allowed before dying
-	sends     []int       // per-rank send initiations so far
-	dead      []bool      // rank has halted
-	confirmed []bool      // detector has confirmed the death
-	suspects  uint64
-	confirms  uint64
-	repairs   uint64
-}
-
-// DetectorStats is the world's failure-detection activity.
-type DetectorStats struct {
-	Suspects uint64 // suspicion leases expired
-	Confirms uint64 // deaths confirmed
-	Repairs  uint64 // tree repairs triggered by confirmations
-}
+// Fail-stop crashes on the simulated substrate. The schedule and the
+// lease detector are faults.Detector's, on the deterministic kernel, so
+// a seed reproduces the same detection schedule at any -j. What is the
+// simulator's own: a rank dies at its crash point (Isend, Ssend or a
+// Commit fan-out) by unwinding its proc with sim.ErrKilled; its
+// unexpected queue is swept so live rendezvous senders parked there fail
+// instead of hanging; from then on its traffic is annihilated (copies in
+// flight from it vanish at arrival, copies sent to it are swallowed), so
+// senders' retry chains run into the timeout budget or, once the death
+// is confirmed, fail fast; and confirmation fans a NoticeDeath out to
+// every surviving rank.
 
 // DetectorStats returns the detector counters; zero when no crash rules
 // are armed (clean runs must keep them zero).
-func (w *World) DetectorStats() DetectorStats {
-	if w.crash == nil {
-		return DetectorStats{}
-	}
-	return DetectorStats{Suspects: w.crash.suspects, Confirms: w.crash.confirms, Repairs: w.crash.repairs}
-}
+func (w *World) DetectorStats() faults.DetectorStats { return w.crash.Stats() }
 
 // Crashed returns the per-rank death mask (all false when no crash rules
 // are armed or nothing has died yet).
-func (w *World) Crashed() []bool {
-	out := make([]bool, w.Size())
-	if w.crash != nil {
-		copy(out, w.crash.dead)
-	}
-	return out
-}
+func (w *World) Crashed() []bool { return w.crash.DeadMask(w.Size()) }
 
-// armCrashes installs the plan's crash schedule (InstallFaults).
+// armCrashes installs the plan's crash schedule (InstallFaults). The
+// detector is world-level: it traces on pseudo-rank -1.
 func (w *World) armCrashes(p faults.Plan) {
 	if len(p.Crashes) == 0 {
 		return
 	}
-	n := w.Size()
-	ct := &crashCtl{
-		after:     make(map[int]int, len(p.Crashes)),
-		sends:     make([]int, n),
-		dead:      make([]bool, n),
-		confirmed: make([]bool, n),
-	}
-	for _, cr := range p.Crashes {
-		if cr.Rank >= n {
-			panic(fmt.Sprintf("simmpi: crash rule for rank %d in a %d-rank world", cr.Rank, n))
-		}
-		ct.after[cr.Rank] = cr.AfterSends
-	}
-	w.crash = ct
+	w.crash = faults.NewDetector(w.Size(), p.Crashes, w.rec, faults.LeaseHooks{
+		After:    w.K.Schedule,
+		Now:      w.K.Now,
+		Trace:    func() *trace.Buffer { return w.Trace },
+		Observer: -1,
+		Confirm: func(r int) {
+			for _, d := range w.ranks {
+				if !w.crash.Dead(d.rank) {
+					d.eng.PushNotice(comm.Notice{Kind: comm.NoticeDeath, Rank: r})
+				}
+			}
+		},
+	})
 }
-
-// deadRank reports whether r has halted.
-func (w *World) deadRank(r int) bool { return w.crash != nil && w.crash.dead[r] }
-
-// confirmedDead reports whether the detector has confirmed r's death.
-func (w *World) confirmedDead(r int) bool { return w.crash != nil && w.crash.confirmed[r] }
 
 // noteSend counts one send initiation by c and, when the rank's crash
 // point is reached, kills it: the rank's state is torn down and the
 // calling goroutine unwinds with sim.ErrKilled (recovered by the proc
 // wrapper). Must be the first action of every send path.
 func (w *World) noteSend(c *Comm) {
-	ct := w.crash
-	if ct == nil {
-		return
-	}
-	k, scheduled := ct.after[c.rank]
-	if !scheduled || ct.dead[c.rank] {
-		return
-	}
-	n := ct.sends[c.rank]
-	ct.sends[c.rank]++
-	if n < k {
+	if !w.crash.NoteSend(c.rank) {
 		return
 	}
 	w.crashRank(c.rank)
 	panic(sim.ErrKilled)
 }
 
-// crashRank halts rank r now: annihilation begins, parked rendezvous
-// senders are released with a structured failure, and the detector
-// leases are armed.
+// crashRank tears down rank r, which has just died: annihilation
+// begins, parked rendezvous senders are released with a structured
+// failure, and the detector leases are armed.
 func (w *World) crashRank(r int) {
-	ct := w.crash
-	ct.dead[r] = true
 	c := w.ranks[r]
 	if tb := w.Trace; tb != nil {
 		tb.Add(trace.Record{At: w.K.Now(), Rank: r, Kind: trace.Crash, Peer: -1})
@@ -143,53 +85,18 @@ func (w *World) crashRank(r int) {
 			comm.PutBuf(env.Msg.Data)
 		}
 	}
-	// Detector leases, on the deterministic kernel. Detector events are
-	// world-level, not rank-level: they trace on pseudo-rank -1 ("the
-	// detector") with Peer = the dead rank.
-	w.K.Schedule(w.rec.SuspectAfter, func() {
-		ct.suspects++
-		perf.RecordDetectorSuspect()
-		if tb := w.Trace; tb != nil {
-			tb.Add(trace.Record{At: w.K.Now(), Rank: -1, Kind: trace.Suspect, Peer: r})
-		}
-	})
-	w.K.Schedule(w.rec.ConfirmAfter, func() {
-		ct.confirmed[r] = true
-		ct.confirms++
-		perf.RecordDetectorConfirm()
-		// One repaired tree takes effect per confirmed death.
-		ct.repairs++
-		perf.RecordTreeRepair()
-		if tb := w.Trace; tb != nil {
-			tb.Add(trace.Record{At: w.K.Now(), Rank: -1, Kind: trace.Confirm, Peer: r})
-			tb.Add(trace.Record{At: w.K.Now(), Rank: -1, Kind: trace.Repair, Peer: r})
-		}
-		for _, d := range w.ranks {
-			if !ct.dead[d.rank] {
-				d.pushNotice(comm.Notice{Kind: comm.NoticeDeath, Rank: r})
-			}
-		}
-	})
+	w.crash.Lease(r)
 }
 
 // ---- comm.FailStop implementation ----
 
 var _ comm.FailStop = (*Comm)(nil)
 
-// pushNotice appends a control-plane notice and wakes the rank.
-func (c *Comm) pushNotice(n comm.Notice) { c.eng.PushNotice(n) }
-
 // CrashesEnabled reports whether crash rules are armed in this world.
 func (c *Comm) CrashesEnabled() bool { return c.w.crash != nil }
 
 // ConfirmedDead returns a fresh detector-confirmed death mask.
-func (c *Comm) ConfirmedDead() []bool {
-	out := make([]bool, c.Size())
-	if ct := c.w.crash; ct != nil {
-		copy(out, ct.confirmed)
-	}
-	return out
-}
+func (c *Comm) ConfirmedDead() []bool { return c.w.crash.ConfirmedMask(c.Size()) }
 
 // TakeNotices drains this rank's pending control-plane notices.
 func (c *Comm) TakeNotices() []comm.Notice { return c.eng.TakeNotices() }
@@ -210,13 +117,13 @@ func (c *Comm) Commit(seq int, survivors []bool) {
 	w.noteSend(c)
 	mask := append([]bool(nil), survivors...)
 	for _, d := range w.ranks {
-		if d == c || w.deadRank(d.rank) {
+		if d == c || w.crash.Dead(d.rank) {
 			continue
 		}
 		d := d
 		w.K.Schedule(w.Net.ControlLatency(c.rank, d.rank), func() {
-			if !w.deadRank(d.rank) {
-				d.pushNotice(comm.Notice{Kind: comm.NoticeCommit, Seq: seq, Survivors: mask})
+			if !w.crash.Dead(d.rank) {
+				d.eng.PushNotice(comm.Notice{Kind: comm.NoticeCommit, Seq: seq, Survivors: mask})
 			}
 		})
 	}

@@ -5,45 +5,24 @@ import (
 
 	"adapt/internal/comm"
 	"adapt/internal/fec"
-	"adapt/internal/perf"
 	"adapt/internal/trace"
 )
 
 // Forward error correction over the chaos transport's eager segment
 // stream. Every eager transmission on a faulted world with FEC enabled
-// is shadowed by a per-link group framer: the framer keeps its own copy
-// of the payload, and once a group closes (K members, or the idle-flush
-// timer) it encodes M parity shards and flies each across the fabric as
-// a single unacknowledged attempt under a KindFec tag — parity is pure
-// redundancy, it is never retransmitted. When the group's fates are all
-// known (every member delivered, lost, or failed; every parity shard
-// arrived or lost) and the erasures are within the surviving parity, the
-// receiver-side reconstruction decodes the missing payloads and
-// completes each lost transmission through xmit.repair: the segment is
-// delivered exactly as if its wire copy had arrived (same envelope path,
-// duplicate-suppressed against a late retransmit), and the repair-ack
-// stops the sender's retransmit timer before it fires — loss within the
-// parity budget costs no retransmit round trip.
-//
-// FEC composes with, never replaces, the Recovery machinery: the RTO
-// timers stay armed throughout, so a group whose erasures outrun its
-// parity (or whose parity is itself lost) falls back to per-message
-// retransmission and, past the attempt budget, the structured
-// TimeoutError path. The simulator is one address space, so sender
-// framer and receiver reconstructor share one group object; the parity
-// still crosses the simulated fabric and draws real fault verdicts.
-
-// fecCtl is the world's FEC layer: per-link open groups, the adaptive
-// redundancy controller, and world-local counters. Kernel-serialized
-// like everything else in the simulator — no locks.
-type fecCtl struct {
-	w     *World
-	cfg   fec.Config
-	ctl   *fec.Controller
-	open  map[uint64]*fecGroup // directed link -> group being filled
-	gid   uint64
-	stats fec.Stats
-}
+// is shadowed in the shared per-link framer (fec.Framer), which keeps
+// its own copy of the payload. Once a group seals, each parity shard
+// flies across the fabric as one unacknowledged attempt under a KindFec
+// tag. When every fate in the group is known and the erasures are within
+// the surviving parity, the shared repair step decodes the missing
+// payloads and xmit.repair completes each lost transmission exactly as
+// if its wire copy had arrived; the repair-ack stops the sender's
+// retransmit timer, so loss within the parity budget costs no round
+// trip. The RTO timers stay armed throughout: a group whose erasures
+// outrun its parity falls back to per-message retransmission. The
+// simulator is one address space, so the receiver's view hangs off the
+// sender's group; the parity still crosses the fabric and draws real
+// fault verdicts.
 
 // EnableFEC arms erasure coding over the eager segment stream. Must be
 // called after InstallFaults (FEC shadows the chaos transport) and
@@ -52,32 +31,29 @@ func (w *World) EnableFEC(cfg fec.Config) {
 	if w.inj == nil {
 		panic("simmpi: EnableFEC before InstallFaults")
 	}
-	cfg = cfg.Normalized()
 	if !cfg.Enabled() {
 		return
 	}
-	w.fec = &fecCtl{w: w, cfg: cfg, ctl: fec.NewController(cfg),
-		open: make(map[uint64]*fecGroup)}
+	w.fec = fec.NewFramer(cfg, &w.fecStats, fec.Hooks[*fecMember]{
+		// Idle flush: a trickling stream must not hold a group open past a
+		// fraction of the RTO, or the parity could lose the race against
+		// the first member's retransmit timer.
+		FlushAfter: w.rec.RTO / 4,
+		After:      w.K.Schedule,
+		Shard:      func(mem *fecMember) []byte { return mem.shard },
+		Seal:       w.sealFEC,
+	})
 }
 
 // FECStats returns what the FEC layer did; zero when not enabled.
-func (w *World) FECStats() fec.Stats {
-	if w.fec == nil {
-		return fec.Stats{}
-	}
-	return w.fec.stats
-}
+func (w *World) FECStats() fec.Stats { return w.fecStats.Stats() }
 
-// fecGroup is one erasure-coding group on a directed link. One object
-// serves both ends: the sender side fills members and launches parity,
-// the receiver side resolves arrivals and reconstructs.
+// fecGroup is the receiver-side state of one sealed group. The simulator
+// is one address space, so it hangs off the sender's group: parity
+// arrivals and member fates resolve it.
 type fecGroup struct {
-	f        *fecCtl
-	src, dst int
-	id       uint64
-	members  []*fecMember
-	params   fec.Params
-	closed   bool
+	w        *World
+	g        *fec.Group[*fecMember]
 	resolved bool
 	// parity[j] is parity shard j's bytes once its copy arrived, nil
 	// while in flight or lost; decided marks settled shards and
@@ -89,7 +65,7 @@ type fecGroup struct {
 
 // fecMember is one eager transmission enrolled in a group.
 type fecMember struct {
-	g     *fecGroup
+	g     *fecGroup // set when the group seals
 	x     *xmit
 	tag   comm.Tag
 	msg   comm.Msg // original metadata (logical size, memory space)
@@ -98,84 +74,44 @@ type fecMember struct {
 	post  uint64 // sender's PostID, for the causal trace edge
 }
 
-// newMember snapshots one eager transmission for its link's open group.
+// enrollFEC snapshots eager transmission x into its link's open group.
 // retained is the chaos transport's transmission buffer (nil for elided
 // payloads); the framer takes its own copy, since retained is released
 // the moment the transmission acks.
-func (f *fecCtl) newMember(c *Comm, d *Comm, tag comm.Tag, msg comm.Msg, postID uint64, retained []byte) *fecMember {
-	mem := &fecMember{tag: tag, msg: msg, d: d, post: postID}
+func (w *World) enrollFEC(x *xmit, d *Comm, tag comm.Tag, msg comm.Msg, postID uint64, retained []byte) *fecMember {
+	mem := &fecMember{x: x, tag: tag, msg: msg, d: d, post: postID}
 	if retained != nil {
 		mem.shard = comm.GetBuf(len(retained))
 		copy(mem.shard, retained)
 	}
+	w.fec.Add(x.src, x.dst, mem)
 	return mem
 }
 
-// enroll adds the member (now carrying its transmission handle) to the
-// link's open group, opening one if needed and closing it at K members.
-func (f *fecCtl) enroll(mem *fecMember, x *xmit) {
-	mem.x = x
-	key := uint64(uint32(x.src))<<32 | uint64(uint32(x.dst))
-	g := f.open[key]
-	if g == nil {
-		f.gid++
-		g = &fecGroup{f: f, src: x.src, dst: x.dst, id: f.gid}
-		f.open[key] = g
-		// Idle flush: a trickling stream must not hold a group open past a
-		// fraction of the RTO, or the parity could lose the race against
-		// the first member's retransmit timer.
-		f.w.K.Schedule(f.w.rec.RTO/4, func() {
-			if f.open[key] == g {
-				delete(f.open, key)
-				f.close(g)
-			}
-		})
+// sealFEC takes over a sealed group: fly each parity shard as one
+// unacknowledged attempt under a KindFec tag, then try to resolve.
+func (w *World) sealFEC(sg *fec.Group[*fecMember]) {
+	m := sg.Params.M
+	g := &fecGroup{w: w, g: sg, parity: make([][]byte, m), decided: make([]bool, m), parityLeft: m}
+	for _, mem := range sg.Members {
+		mem.g = g
 	}
-	mem.g = g
-	g.members = append(g.members, mem)
-	if len(g.members) >= f.cfg.K {
-		delete(f.open, key)
-		f.close(g)
-	}
-}
-
-// close seals a group: encode parity over the member shards and fly each
-// shard as one unacknowledged attempt under a KindFec tag.
-func (f *fecCtl) close(g *fecGroup) {
-	w := f.w
-	k := len(g.members)
-	m := f.ctl.ChooseM(g.src, g.dst, k)
-	g.params = fec.Params{K: k, M: m}
-	data := make([][]byte, k)
-	for i, mem := range g.members {
-		if mem.shard != nil {
-			data[i] = mem.shard
-		} else {
-			data[i] = []byte{}
-		}
-	}
-	parity := fec.EncodeParity(g.params, data)
-	f.stats.ParityEncoded += uint64(m)
-	perf.RecordFecEncoded(m)
-	g.closed = true
-	g.parity = make([][]byte, m)
-	g.decided = make([]bool, m)
-	g.parityLeft = m
-	for j := range parity {
-		j, buf := j, parity[j]
-		ptag := comm.MakeTag(comm.KindFec, int(g.id%comm.SeqWrap), j)
+	src, dst := sg.Src, sg.Dst
+	for j := range sg.Parity {
+		j, buf := j, sg.Parity[j]
+		ptag := comm.MakeTag(comm.KindFec, int(sg.Serial%comm.SeqWrap), j)
 		w.xmitSeq++
 		pid := w.xmitSeq
-		v := w.inj.Message(g.src, g.dst, ptag, pid, 0, w.K.Now(), len(buf))
+		v := w.inj.Message(src, dst, ptag, pid, 0, w.K.Now(), len(buf))
 		if v.Drop {
-			w.traceFault(trace.FaultDrop, g.src, g.dst, ptag, len(buf), pid)
+			w.traceFault(trace.FaultDrop, src, dst, ptag, len(buf), pid)
 			comm.PutBuf(buf)
 			g.parityFate(j, nil)
 			continue
 		}
 		w.K.Schedule(v.Extra, func() {
-			w.Net.StartTransfer(g.src, g.dst, len(buf), comm.MemDefault, nil, func() {
-				if v.Corrupt || w.deadRank(g.src) || w.deadRank(g.dst) {
+			w.Net.StartTransfer(src, dst, len(buf), comm.MemDefault, nil, func() {
+				if v.Corrupt || w.crash.Dead(src) || w.crash.Dead(dst) {
 					// Damaged (checksum-caught) or annihilated: a lost shard.
 					comm.PutBuf(buf)
 					g.parityFate(j, nil)
@@ -191,7 +127,7 @@ func (f *fecCtl) close(g *fecGroup) {
 // parityFate records parity shard j's outcome (bytes, or nil = lost).
 func (g *fecGroup) parityFate(j int, bytes []byte) {
 	if g.decided[j] {
-		panic(fmt.Sprintf("simmpi: fec group %d parity %d resolved twice", g.id, j))
+		panic(fmt.Sprintf("simmpi: fec group %d parity %d resolved twice", g.g.Serial, j))
 	}
 	g.decided[j] = true
 	g.parity[j] = bytes
@@ -217,84 +153,61 @@ func (mem *fecMember) settled() bool {
 // erasures reconstruct and repair; beyond it the group is lost to the
 // ARQ backstop (whose timers have been running all along).
 func (g *fecGroup) tryResolve() {
-	if g.resolved || !g.closed || g.parityLeft > 0 {
+	if g.resolved || g.parityLeft > 0 {
 		return
 	}
-	for _, mem := range g.members {
+	members := g.g.Members
+	for _, mem := range members {
 		if !mem.settled() {
 			return
 		}
 	}
 	g.resolved = true
-	f := g.f
+	defer g.release()
+	w := g.w
 	var missing []int
-	lost := 0
-	for i, mem := range g.members {
+	lost, have := 0, 0
+	data := make([][]byte, len(members))
+	sizes := make([]int, len(members))
+	for i, mem := range members {
 		if mem.x.firstLost {
 			lost++
 		}
+		sizes[i] = len(mem.shard)
 		if !mem.x.st.delivered && !mem.x.st.failed {
 			missing = append(missing, i)
+		} else if data[i] = mem.shard; data[i] == nil {
+			data[i] = []byte{}
 		}
 	}
-	have := 0
 	for _, p := range g.parity {
 		if p != nil {
 			have++
 		}
 	}
-	f.ctl.Observe(g.src, g.dst, len(g.members)+g.params.M, lost+g.params.M-have)
-	defer g.release()
-	if len(missing) == 0 {
-		return
-	}
-	if !fec.Recoverable(len(missing), have) {
-		f.stats.GroupsLost++
-		perf.RecordFecGroupLost()
-		return
-	}
-	data := make([][]byte, len(g.members))
-	sizes := make([]int, len(g.members))
-	miss := make(map[int]bool, len(missing))
-	for _, i := range missing {
-		miss[i] = true
-	}
-	for i, mem := range g.members {
-		sizes[i] = len(mem.shard)
-		if !miss[i] {
-			if mem.shard != nil {
-				data[i] = mem.shard
-			} else {
-				data[i] = []byte{}
-			}
-		}
-	}
-	if err := fec.Reconstruct(g.params, data, g.parity, sizes); err != nil {
-		// Unreachable (Recoverable held); treat as a lost group.
-		f.stats.GroupsLost++
-		perf.RecordFecGroupLost()
+	m := g.g.Params.M
+	w.fec.Ctl.Observe(g.g.Src, g.g.Dst, len(members)+m, lost+m-have)
+	if len(missing) == 0 || !w.fecStats.Repair(g.g.Params, data, g.parity, sizes) {
 		return
 	}
 	for _, i := range missing {
-		mem, decoded := g.members[i], data[i]
+		mem, decoded := members[i], data[i]
 		mem.x.repair(func() {
 			del := mem.msg
 			if mem.msg.Data != nil {
 				del.Data = decoded // pooled; owned by the receiver from here
 			}
-			env := mem.d.eng.NewEnv(g.src, mem.tag, del, nil)
+			env := mem.d.eng.NewEnv(g.g.Src, mem.tag, del, nil)
 			env.PostID = mem.post
 			mem.d.arrive(env)
 		})
-		f.stats.Reconstructed++
-		perf.RecordFecReconstructed()
 	}
 }
 
 // release returns the group's framer-owned buffers to the pool. Repaired
 // payloads are separate decode buffers already handed to receivers.
 func (g *fecGroup) release() {
-	for _, mem := range g.members {
+	for _, mem := range g.g.Members {
 		if mem.shard != nil {
 			comm.PutBuf(mem.shard)
 			mem.shard = nil

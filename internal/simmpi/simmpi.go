@@ -28,6 +28,7 @@ import (
 
 	"adapt/internal/comm"
 	"adapt/internal/faults"
+	"adapt/internal/fec"
 	"adapt/internal/netmodel"
 	"adapt/internal/noise"
 	"adapt/internal/progress"
@@ -51,10 +52,11 @@ type World struct {
 	xmitSeq  uint64 // world-unique reliable-transmission ids
 	failures []*faults.TimeoutError
 	// Erasure coding over the eager segment stream (nil = off; see fec.go).
-	fec *fecCtl
+	fec      *fec.Framer[*fecMember]
+	fecStats fec.Counters
 	// Fail-stop crash schedule and detector (nil = no crash rules armed;
 	// see crash.go).
-	crash *crashCtl
+	crash *faults.Detector
 	// Recycled fault-free transfer state machines (see xfer.go).
 	xferFree []*xfer
 }
